@@ -2,8 +2,9 @@
 
 Every subcommand prints one JSON report to stdout and a timing note to stderr,
 so reports are byte-identical across runs for fixed inputs and --seed. Exit
-codes: 0 for any successful evaluation (including negative verdicts), 2 for
-usage or input errors, 3 for numerical failures such as exceeded residuals.
+codes: 0 for any successful evaluation (including negative verdicts), 3 for a
+NumericalError such as an exceeded residual, 2 for any other ValueError or
+OSError (bad input, or an unreadable, malformed or unwritable file).
 """
 
 from __future__ import annotations
@@ -21,19 +22,11 @@ from . import jsonio as io
 from . import resource as rep
 from . import sep
 from . import tripartite as tri
-from .core import ProductOperator, PureState, fidelity
+from .core import NumericalError, fidelity
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
-
-
-class InputError(Exception):
-    pass
-
-
-class NumericalFailure(Exception):
-    pass
 
 
 def _jsonify(value):
@@ -58,30 +51,13 @@ def _load(path: str):
     try:
         return io.load_json(path)
     except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read JSON file {path}: {exc}") from exc
-
-
-def _state_arg(path: str) -> PureState:
-    try:
-        return io.state_from_obj(_load(path))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-
-
-def _operator_arg(path: str) -> ProductOperator:
-    try:
-        return io.operator_from_obj(_load(path))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+        raise ValueError(f"cannot read JSON file {path}: {exc}") from exc
 
 
 def _params_arg(text: str) -> fq.GabcdParams:
-    try:
-        values = io.parse_complex_list(text)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    values = io.parse_complex_list(text)
     if len(values) != 4:
-        raise InputError("--params needs exactly four comma-separated complex values")
+        raise ValueError("--params needs exactly four comma-separated complex values")
     return fq.GabcdParams(*values)
 
 
@@ -93,29 +69,17 @@ def _maybe_write(args, obj) -> None:
 # -- handlers -------------------------------------------------------------------
 
 def cmd_majorize(args, rng, tol):
-    y = io.parse_real_list(args.y)
-    x = io.parse_real_list(args.x)
-    try:
-        verdict = bp.majorizes(y, x)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    verdict = bp.majorizes(io.parse_real_list(args.y), io.parse_real_list(args.x))
     return {"majorizes": verdict}
 
 
 def cmd_nielsen(args, rng, tol):
-    try:
-        relation = bp.nielsen_decide(io.parse_real_list(args.psi), io.parse_real_list(args.phi))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    relation = bp.nielsen_decide(io.parse_real_list(args.psi), io.parse_real_list(args.phi))
     return {"relation": relation.value}
 
 
 def cmd_classify3(args, rng, tol):
-    state = _state_arg(args.state)
-    try:
-        result = tri.classify_slocc3(state)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    result = tri.classify_slocc3(io.state_from_obj(_load(args.state)))
     return {
         "class": result.tag.value,
         "hyperdet": result.hyperdet,
@@ -125,16 +89,10 @@ def cmd_classify3(args, rng, tol):
 
 
 def cmd_stdform3(args, rng, tol):
-    state = _state_arg(args.state)
-    try:
-        result = tri.classify_slocc3(state)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    state = io.state_from_obj(_load(args.state))
+    result = tri.classify_slocc3(state)
     if result.tag is tri.Slocc3Tag.GHZ_CLASS:
-        try:
-            form = tri.ghz_standard_form(state)
-        except ValueError as exc:
-            raise NumericalFailure(str(exc)) from exc
+        form = tri.ghz_standard_form(state)
         return {
             "class": result.tag.value,
             "z": form.z,
@@ -142,24 +100,18 @@ def cmd_stdform3(args, rng, tol):
             "reconstruction_fidelity": form.reconstruction_fidelity,
         }
     if result.tag is tri.Slocc3Tag.W_CLASS:
-        try:
-            form = tri.w_standard_form(state)
-        except ValueError as exc:
-            raise NumericalFailure(str(exc)) from exc
+        form = tri.w_standard_form(state)
         return {
             "class": result.tag.value,
             "x": [form.x0, form.x1, form.x2, form.x3],
             "reconstruction_fidelity": form.reconstruction_fidelity,
         }
-    raise InputError(f"standard forms exist for genuinely tripartite states, got {result.tag.value}")
+    raise ValueError(f"standard forms exist for genuinely tripartite states, got {result.tag.value}")
 
 
 def cmd_mes3_check(args, rng, tol):
-    state = _state_arg(args.state)
-    try:
-        member, cert = tri.in_mes3(state, tol=max(tol, tri.MES3_MATCH_TOL))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    state = io.state_from_obj(_load(args.state))
+    member, cert = tri.in_mes3(state, tol=max(tol, tri.MES3_MATCH_TOL))
     payload = {"in_mes3": member, "class": cert.slocc.value, "reason": cert.reason}
     if cert.ghz_form is not None:
         payload["z"] = cert.ghz_form.z
@@ -170,11 +122,7 @@ def cmd_mes3_check(args, rng, tol):
 
 
 def cmd_mes3_gen(args, rng, tol):
-    try:
-        params = tri.Mes3Params(args.a, args.beta, args.betaprime)
-        state = tri.mes3_state(params)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    state = tri.mes3_state(tri.Mes3Params(args.a, args.beta, args.betaprime))
     obj = io.state_to_obj(state)
     _maybe_write(args, obj)
     return {"state": obj}
@@ -182,10 +130,7 @@ def cmd_mes3_gen(args, rng, tol):
 
 def cmd_seed4(args, rng, tol):
     params = _params_arg(args.params)
-    try:
-        state = fq.seed_state(params)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    state = fq.seed_state(params)
     generic, violations = fq.is_generic(params)
     obj = io.state_to_obj(state)
     _maybe_write(args, obj)
@@ -194,20 +139,17 @@ def cmd_seed4(args, rng, tol):
 
 def cmd_mes4_check(args, rng, tol):
     params = _params_arg(args.params)
-    op = _operator_arg(args.operator)
-    try:
-        if args.mode == "reachable":
-            verdict, witness = fq.is_reachable(op, params)
-            payload = {"reachable": verdict}
-        elif args.mode == "convertible":
-            verdict, witness = fq.is_convertible(op, params)
-            payload = {"convertible": verdict}
-        else:
-            cert = fq.mes4_status(op, params)
-            witness = cert.reachable_witness or cert.convertible_witness
-            payload = {"status": cert.status.value}
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    op = io.operator_from_obj(_load(args.operator))
+    if args.mode == "reachable":
+        verdict, witness = fq.is_reachable(op, params)
+        payload = {"reachable": verdict}
+    elif args.mode == "convertible":
+        verdict, witness = fq.is_convertible(op, params)
+        payload = {"convertible": verdict}
+    else:
+        cert = fq.mes4_status(op, params)
+        witness = cert.reachable_witness or cert.convertible_witness
+        payload = {"status": cert.status.value}
     if witness is not None:
         payload["witness"] = {"special_party": witness.special_party, "axis": witness.axis}
     else:
@@ -215,50 +157,29 @@ def cmd_mes4_check(args, rng, tol):
     return payload
 
 
-def _symmetries_arg(path: str) -> list[ProductOperator]:
-    try:
-        return io.operators_from_obj(_load(path))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-
-
 def _weights_and_r(args, big_g, big_h, symmetries):
     weights = np.array(io.parse_real_list(args.weights))
     if args.r == "auto":
-        gf = big_g.full_matrix()
-        hf = big_h.full_matrix()
-        tau = float(np.trace(gf).real)
-        traces = [float(np.trace(s.full_matrix().conj().T @ hf @ s.full_matrix()).real)
-                  for s in symmetries]
-        r = float(np.dot(weights, traces) / tau)
-    else:
-        r = float(args.r)
-    return weights, r
+        return weights, sep.norm_ratio(big_g, big_h, symmetries, weights)
+    return weights, float(args.r)
 
 
 def cmd_sep_verify(args, rng, tol):
-    g = _operator_arg(args.g)
-    h = _operator_arg(args.h)
-    symmetries = _symmetries_arg(args.symmetries)
+    g = io.operator_from_obj(_load(args.g))
+    h = io.operator_from_obj(_load(args.h))
+    symmetries = io.operators_from_obj(_load(args.symmetries))
     big_g, big_h = sep.positive_part(g), sep.positive_part(h)
-    try:
-        weights, r = _weights_and_r(args, big_g, big_h, symmetries)
-        instance = sep.SepInstance(big_g, big_h, r, tuple(symmetries), weights)
-        ok, residual = sep.verify_sep(instance, tol=tol)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    weights, r = _weights_and_r(args, big_g, big_h, symmetries)
+    instance = sep.SepInstance(big_g, big_h, r, tuple(symmetries), weights)
+    ok, residual = sep.verify_sep(instance, tol=tol)
     return {"satisfied": ok, "residual": residual, "r": r}
 
 
 def cmd_sep_solve(args, rng, tol):
-    g = _operator_arg(args.g)
-    h = _operator_arg(args.h)
-    symmetries = _symmetries_arg(args.symmetries)
-    big_g, big_h = sep.positive_part(g), sep.positive_part(h)
-    try:
-        solved = sep.solve_sep_weights(big_g, big_h, symmetries, tol=tol)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    g = io.operator_from_obj(_load(args.g))
+    h = io.operator_from_obj(_load(args.h))
+    symmetries = io.operators_from_obj(_load(args.symmetries))
+    solved = sep.solve_sep_weights(sep.positive_part(g), sep.positive_part(h), symmetries, tol=tol)
     if solved is None:
         return {"feasible": False, "weights": None, "r": None}
     p, r = solved
@@ -266,34 +187,25 @@ def cmd_sep_solve(args, rng, tol):
 
 
 def cmd_povm_build(args, rng, tol):
-    g = _operator_arg(args.g)
-    h = _operator_arg(args.h)
-    symmetries = _symmetries_arg(args.symmetries)
-    big_g, big_h = sep.positive_part(g), sep.positive_part(h)
-    try:
-        g.inverse()  # singular factors are an input problem, not a numerical one
-        weights, r = _weights_and_r(args, big_g, big_h, symmetries)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    try:
-        povm = sep.build_povm(h, g, symmetries, weights, r)
-    except (ValueError, AssertionError) as exc:
-        raise NumericalFailure(str(exc)) from exc
-    acc = sum(m.full_matrix().conj().T @ m.full_matrix() for m in povm)
-    completeness = float(np.max(np.abs(acc - np.eye(acc.shape[0]))))
+    g = io.operator_from_obj(_load(args.g))
+    h = io.operator_from_obj(_load(args.h))
+    symmetries = io.operators_from_obj(_load(args.symmetries))
+    weights, r = _weights_and_r(args, sep.positive_part(g), sep.positive_part(h), symmetries)
+    povm = sep.build_povm(h, g, symmetries, weights, r)
     obj = io.operators_to_obj(povm)
     _maybe_write(args, obj)
-    return {"num_elements": len(povm), "completeness_residual": completeness, "povm": obj}
+    return {
+        "num_elements": len(povm),
+        "completeness_residual": sep.completeness_residual(povm),
+        "povm": obj,
+    }
 
 
 def cmd_convert_verify(args, rng, tol):
-    povm = _symmetries_arg(args.povm)
-    source = _state_arg(args.source)
-    target = _state_arg(args.target)
-    try:
-        ok, reports = sep.verify_conversion(povm, source, target, tol=tol)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    povm = io.operators_from_obj(_load(args.povm))
+    source = io.state_from_obj(_load(args.source))
+    target = io.state_from_obj(_load(args.target))
+    ok, reports = sep.verify_conversion(povm, source, target, tol=tol)
     return {
         "deterministic": ok,
         "branches": [
@@ -310,27 +222,20 @@ def cmd_convert_verify(args, rng, tol):
 
 def cmd_synth4q(args, rng, tol):
     params = _params_arg(args.params)
-    h = _operator_arg(args.operator)
-    try:
-        synth = sep.synthesize_reach_protocol_4q(h, params)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    except AssertionError as exc:
-        raise NumericalFailure(str(exc)) from exc
+    synth = sep.synthesize_reach_protocol_4q(io.operator_from_obj(_load(args.operator)), params)
     branches = sep.execute_protocol(synth.protocol, synth.source.amplitudes)
     fids = [float(abs(np.vdot(b.vector, synth.target.amplitudes)) ** 2) for b in branches]
-    if args.out:
-        io.dump_json(
-            args.out,
-            {
-                "acting_party": synth.protocol.acting_party,
-                "dims": list(synth.protocol.dims),
-                "kraus": [io.matrix_to_obj(k) for k in synth.protocol.kraus_ops],
-                "corrections": [
-                    [io.matrix_to_obj(u) for u in row] for row in synth.protocol.corrections
-                ],
-            },
-        )
+    _maybe_write(
+        args,
+        {
+            "acting_party": synth.protocol.acting_party,
+            "dims": list(synth.protocol.dims),
+            "kraus": [io.matrix_to_obj(k) for k in synth.protocol.kraus_ops],
+            "corrections": [
+                [io.matrix_to_obj(u) for u in row] for row in synth.protocol.corrections
+            ],
+        },
+    )
     return {
         "num_outcomes": synth.protocol.num_outcomes,
         "special_party": synth.special_party,
@@ -361,12 +266,9 @@ def cmd_rep_sim(args, rng, tol):
     if args.outcomes is not None:
         text = args.outcomes.strip()
         if len(text) != 3 or any(c not in "01" for c in text):
-            raise InputError("--outcomes must be three bits k6 k5 k4, e.g. 101")
+            raise ValueError("--outcomes must be three bits k6 k5 k4, e.g. 101")
         forced = (int(text[0]), int(text[1]), int(text[2]))
-    try:
-        out = rep.simulate_rep(params, outcomes=forced, rng=rng)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    out = rep.simulate_rep(params, outcomes=forced, rng=rng)
     target = rep.target_state(params)
     return {
         "k6": out.k6,
@@ -396,14 +298,14 @@ def cmd_rep_verify(args, rng, tol):
         ],
     }
     if not report.all_pass:
-        raise NumericalFailure(json.dumps(_jsonify(payload)))
+        raise NumericalError(json.dumps(_jsonify(payload)))
     return payload
 
 
 def cmd_mixed_prep(args, rng, tol):
     obj = _load(args.ensemble)
-    if not isinstance(obj, dict) or "entries" not in obj:
-        raise InputError("ensemble file must carry 'entries'")
+    if not isinstance(obj, dict) or not isinstance(obj.get("entries"), list):
+        raise ValueError("ensemble file must carry 'entries'")
     entries = []
     for e in obj["entries"]:
         try:
@@ -411,11 +313,8 @@ def cmd_mixed_prep(args, rng, tol):
             post = io.operator_from_obj(e["post_lu"]) if e.get("post_lu") else None
             entries.append((float(e["weight"]), params, post))
         except (KeyError, ValueError, TypeError) as exc:
-            raise InputError(f"malformed ensemble entry: {exc}") from exc
-    try:
-        result = rep.prepare_mixed3(entries, rng)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+            raise ValueError(f"malformed ensemble entry: {exc}") from exc
+    result = rep.prepare_mixed3(entries, rng)
     return {
         "entry_index": result.entry_index,
         "outcomes": {"k6": result.outcome.k6, "k5": result.outcome.k5, "k4": result.outcome.k4},
@@ -549,13 +448,11 @@ def main(argv=None) -> int:
     rng = np.random.default_rng(args.seed)
     started = time.perf_counter()
     try:
-        result = args.handler(args, rng, args.tol)
-        code = EXIT_OK
-        error = None
-    except InputError as exc:
-        result, code, error = None, EXIT_INPUT, str(exc)
-    except NumericalFailure as exc:
+        result, code, error = args.handler(args, rng, args.tol), EXIT_OK, None
+    except NumericalError as exc:
         result, code, error = None, EXIT_NUMERICAL, str(exc)
+    except (ValueError, OSError) as exc:
+        result, code, error = None, EXIT_INPUT, str(exc)
     elapsed = time.perf_counter() - started
 
     report = {

@@ -29,6 +29,12 @@ PHASE_EQUAL_TOL = 1e-9
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
 
+
+class NumericalError(ValueError):
+    """A computation on acceptable input failed one of its own numerical checks,
+    such as a residual bound; a plain ValueError means the input is unacceptable."""
+
+
 PAULI = {
     "i": np.eye(2, dtype=complex),
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -273,7 +279,7 @@ def build_gate(kind: str, **params) -> tuple[np.ndarray, int]:
     matrix, arity = builder(**params)
     err = np.max(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0])))
     if err > UNITARY_ATOL:
-        raise AssertionError(f"gate {kind} failed unitarity check ({err})")
+        raise NumericalError(f"gate {kind} failed unitarity check ({err})")
     return matrix, arity
 
 

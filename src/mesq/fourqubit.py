@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProductOperator, PureState, apply_product, fidelity, pauli_components
+from .core import (NumericalError, ProductOperator, PureState, apply_product, fidelity,
+                   pauli_components)
 
 GENERICITY_TOL = 1e-10
 AXIS_TOL = 1e-10
@@ -94,7 +95,7 @@ def symmetry_group(params: GabcdParams) -> list[ProductOperator]:
     for s in group:
         out, _ = apply_product(s, seed)
         if fidelity(out, seed) < 1.0 - SYMMETRY_FIDELITY_TOL:
-            raise AssertionError(f"symmetry candidate failed to fix the seed state")
+            raise NumericalError("symmetry candidate failed to fix the seed state")
     return group
 
 

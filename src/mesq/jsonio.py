@@ -13,6 +13,7 @@ Complex scalars on the command line use the "a+bi" form; files always carry
 from __future__ import annotations
 
 import json
+import numbers
 
 import numpy as np
 
@@ -24,8 +25,15 @@ def complex_to_pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
+def _list(value, what: str):
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
 def pair_to_complex(pair) -> complex:
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+    if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+            and all(isinstance(v, numbers.Real) for v in pair)):
         raise ValueError(f"expected a [re, im] pair, got {pair!r}")
     return complex(float(pair[0]), float(pair[1]))
 
@@ -74,7 +82,9 @@ def state_to_obj(state: PureState) -> dict:
 def state_from_obj(obj) -> PureState:
     if not isinstance(obj, dict) or "n" not in obj or "amps" not in obj:
         raise ValueError("state object must carry 'n' and 'amps'")
-    amps = np.array([pair_to_complex(p) for p in obj["amps"]], dtype=complex)
+    if not isinstance(obj["n"], numbers.Integral):
+        raise ValueError(f"'n' must be an integer, got {obj['n']!r}")
+    amps = np.array([pair_to_complex(p) for p in _list(obj["amps"], "'amps'")], dtype=complex)
     return PureState(int(obj["n"]), amps)
 
 
@@ -83,7 +93,8 @@ def matrix_to_obj(m: np.ndarray) -> list:
 
 
 def matrix_from_obj(obj) -> np.ndarray:
-    return np.array([[pair_to_complex(v) for v in row] for row in obj], dtype=complex)
+    rows = [_list(row, "a matrix row") for row in _list(obj, "a matrix")]
+    return np.array([[pair_to_complex(v) for v in row] for row in rows], dtype=complex)
 
 
 def operator_to_obj(op: ProductOperator) -> dict:
@@ -93,7 +104,7 @@ def operator_to_obj(op: ProductOperator) -> dict:
 def operator_from_obj(obj) -> ProductOperator:
     if not isinstance(obj, dict) or "factors" not in obj:
         raise ValueError("operator object must carry 'factors'")
-    return ProductOperator(tuple(matrix_from_obj(f) for f in obj["factors"]))
+    return ProductOperator(tuple(matrix_from_obj(f) for f in _list(obj["factors"], "'factors'")))
 
 
 def operators_to_obj(ops) -> dict:
@@ -103,7 +114,7 @@ def operators_to_obj(ops) -> dict:
 def operators_from_obj(obj) -> list[ProductOperator]:
     if not isinstance(obj, dict) or "operators" not in obj:
         raise ValueError("operator list object must carry 'operators'")
-    return [operator_from_obj(o) for o in obj["operators"]]
+    return [operator_from_obj(o) for o in _list(obj["operators"], "'operators'")]
 
 
 def load_json(path: str):

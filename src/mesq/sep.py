@@ -24,6 +24,7 @@ import numpy as np
 
 from .core import (
     PAULI,
+    NumericalError,
     ProductOperator,
     PureState,
     apply_product,
@@ -222,17 +223,31 @@ def build_povm(
     big_h = positive_part(h)
     ok, residual = verify_sep(SepInstance(big_g, big_h, r, symmetries, weights))
     if not ok:
-        raise ValueError(f"weights do not satisfy the conversion equation (residual {residual:.3e})")
+        raise NumericalError("weights do not satisfy the conversion equation "
+                             f"(residual {residual:.3e})")
     povm = []
     for p, s in zip(weights, symmetries):
         factors = [hf @ sf @ gi for hf, sf, gi in zip(h.factors, s.factors, g_inv.factors)]
         factors[0] = math.sqrt(p / r) * factors[0]
         povm.append(ProductOperator(tuple(factors)))
-    acc = sum(m.full_matrix().conj().T @ m.full_matrix() for m in povm)
-    completeness = float(np.max(np.abs(acc - np.eye(acc.shape[0]))))
+    completeness = completeness_residual(povm)
     if completeness > POVM_COMPLETENESS_TOL:
-        raise AssertionError(f"POVM completeness residual {completeness:.3e} exceeds tolerance")
+        raise NumericalError(f"POVM completeness residual {completeness:.3e} exceeds tolerance")
     return povm
+
+
+def completeness_residual(povm) -> float:
+    """Largest entry of |sum_k M_k^dag M_k - 1| over the POVM elements."""
+    acc = sum(m.full_matrix().conj().T @ m.full_matrix() for m in povm)
+    return float(np.max(np.abs(acc - np.eye(acc.shape[0]))))
+
+
+def norm_ratio(G: ProductOperator, H: ProductOperator, symmetries, weights) -> float:
+    """r for given weights, from the trace of the weight equation."""
+    hf = H.full_matrix()
+    traces = [float(np.trace(s.full_matrix().conj().T @ hf @ s.full_matrix()).real)
+              for s in symmetries]
+    return float(np.dot(weights, traces) / np.trace(G.full_matrix()).real)
 
 
 def positive_part(op: ProductOperator) -> ProductOperator:
@@ -374,14 +389,11 @@ def synthesize_reach_protocol_4q(
     big_g = positive_part(g)
     big_h = positive_part(h)
     # the construction prescribes the weights; recover r from the trace
-    gf, hf = big_g.full_matrix(), big_h.full_matrix()
-    traces = [float(np.trace(s.full_matrix().conj().T @ hf @ s.full_matrix()).real)
-              for s in symmetries]
-    r = float(np.dot(weights, traces) / np.trace(gf).real)
+    r = norm_ratio(big_g, big_h, symmetries, weights)
     instance = SepInstance(big_g, big_h, r, symmetries, weights)
     ok, residual = verify_sep(instance)
     if not ok:
-        raise AssertionError(
+        raise NumericalError(
             f"constructed instance failed the weight equation (residual {residual:.3e})"
         )
     povm = build_povm(h, g, symmetries, weights, r)
@@ -390,9 +402,9 @@ def synthesize_reach_protocol_4q(
     target, _ = apply_product(h, seed)
     ok, reports = verify_conversion(povm, source, target)
     if not ok:
-        raise AssertionError("synthesized POVM failed branch verification")
+        raise NumericalError("synthesized POVM failed branch verification")
     if lu_equivalent(source, target, restarts=6, iters=40) is not None:
-        raise AssertionError("source and target are LU-equivalent; synthesis is vacuous")
+        raise NumericalError("source and target are LU-equivalent; synthesis is vacuous")
 
     protocol = _povm_to_protocol(povm, witness.special_party)
     return SynthesizedConversion(

@@ -26,6 +26,7 @@ import numpy as np
 
 from .core import (
     PAULI,
+    NumericalError,
     ProductOperator,
     PureState,
     apply_product,
@@ -39,6 +40,7 @@ RANK_SV_THRESHOLD = 1e-10
 ROUND_TRIP_TOL = 1e-9
 DEGENERACY_TOL = 1e-8
 MES3_MATCH_TOL = 1e-8
+ARG_ROUNDING_TOL = 1e-12
 
 
 # -- classification ------------------------------------------------------------
@@ -166,7 +168,7 @@ def _two_term_decomposition(state: PureState):
         n = roots[i][1] * a - roots[i][0] * b
         u, s, vh = np.linalg.svd(n)
         if s[0] < 1e-13:
-            raise ValueError("slice pencil collapsed; state is numerically borderline")
+            raise NumericalError("slice pencil collapsed; state is numerically borderline")
         worst_ratio = max(worst_ratio, float(s[1] / s[0]))
         vecs[1 - i][1] = u[:, 0]
         vecs[1 - i][2] = vh[0, :]
@@ -203,14 +205,24 @@ class GhzStandardForm:
     reconstruction_fidelity: float
 
 
+def _fold_sign(z: complex) -> complex:
+    """z or -z, whichever has arg in [0, pi); args within rounding of 0 or pi count as 0."""
+    if abs(z.imag) <= ARG_ROUNDING_TOL * abs(z):
+        return z if z.real > 0 else -z
+    return z if z.imag > 0 else -z
+
+
 def ghz_standard_form(state: PureState, tol: float = ROUND_TRIP_TOL) -> GhzStandardForm:
-    """Extract (z, gamma_x, local unitaries) for a GHZ-class state."""
+    """Extract (z, gamma_x, local unitaries) for a GHZ-class state.
+
+    Raises NumericalError when the extraction fails its own checks.
+    """
     result = classify_slocc3(state)
     if result.tag is not Slocc3Tag.GHZ_CLASS:
         raise ValueError(f"state is not GHZ-class (classified {result.tag.value})")
     vecs, rank_ratio = _two_term_decomposition(state)
     if rank_ratio > 1e-6:
-        raise ValueError(
+        raise NumericalError(
             f"hyperdeterminant is numerically borderline (remainder ratio {rank_ratio:.2e})"
         )
 
@@ -227,12 +239,8 @@ def ghz_standard_form(state: PureState, tol: float = ROUND_TRIP_TOL) -> GhzStand
     kappa, residual = _fit_coefficients([term_a, term_b], state.amplitudes)
     gammas = tuple(float(t / 2.0) for t in overlaps)
 
-    z_fwd = np.sqrt(kappa[0] / kappa[1])
-    if np.angle(z_fwd) < 0:
-        z_fwd = -z_fwd
-    z_rev = np.sqrt(kappa[1] / kappa[0])
-    if np.angle(z_rev) < 0:
-        z_rev = -z_rev
+    z_fwd = _fold_sign(np.sqrt(kappa[0] / kappa[1]))
+    z_rev = _fold_sign(np.sqrt(kappa[1] / kappa[0]))
     if abs(z_fwd) > 1.0 + 1e-9:
         z, swap = z_fwd, False
     elif abs(z_fwd) < 1.0 - 1e-9:
@@ -258,7 +266,7 @@ def ghz_standard_form(state: PureState, tol: float = ROUND_TRIP_TOL) -> GhzStand
     recon, _ = apply_product(witness, ghz_form_state(z, gammas))
     fid = fidelity(recon, state)
     if fid < 1.0 - tol:
-        raise ValueError(
+        raise NumericalError(
             f"standard-form reconstruction fidelity {fid} below tolerance; "
             "state is numerically borderline"
         )
@@ -295,7 +303,7 @@ def _double_root(t: np.ndarray) -> np.ndarray:
     """Double root of the slice-pencil determinant (W-class pencils only)."""
     det_a, det_b, mixed = _slice_pencil(t)
     if max(abs(det_a), abs(det_b)) < 1e-14:
-        raise ValueError("degenerate slice pencil; state is not genuinely tripartite")
+        raise NumericalError("degenerate slice pencil; state is not genuinely tripartite")
     if abs(det_a) >= abs(det_b):
         root = np.array([2.0 * det_a, mixed], dtype=complex)
     else:
@@ -304,7 +312,10 @@ def _double_root(t: np.ndarray) -> np.ndarray:
 
 
 def w_standard_form(state: PureState, tol: float = ROUND_TRIP_TOL) -> WStandardForm:
-    """Extract the x0..x3 amplitudes and local unitaries of a W-class state."""
+    """Extract the x0..x3 amplitudes and local unitaries of a W-class state.
+
+    Raises NumericalError when the extraction fails its own checks.
+    """
     result = classify_slocc3(state)
     if result.tag is not Slocc3Tag.W_CLASS:
         raise ValueError(f"state is not W-class (classified {result.tag.value})")
@@ -322,7 +333,7 @@ def w_standard_form(state: PureState, tol: float = ROUND_TRIP_TOL) -> WStandardF
         float(sum(abs(c[k]) ** 2 for k in range(8) if k not in support))
     )
     if off * off > tol:
-        raise ValueError(f"off-support weight {off:.3e}; state is numerically borderline")
+        raise NumericalError(f"off-support weight {off:.3e}; state is numerically borderline")
     coeffs = [c[k] for k in support]
     if abs(coeffs[0]) > DEGENERACY_TOL:
         global_phase = coeffs[0] / abs(coeffs[0])
@@ -332,7 +343,7 @@ def w_standard_form(state: PureState, tol: float = ROUND_TRIP_TOL) -> WStandardF
     phases = [1.0 + 0j, 1.0 + 0j, 1.0 + 0j]
     for i in (1, 2, 3):
         if abs(coeffs[i]) < 1e-12:
-            raise ValueError("vanishing single-excitation amplitude; not genuinely W-class")
+            raise NumericalError("vanishing single-excitation amplitude; not genuinely W-class")
         phases[i - 1] = coeffs[i] / abs(coeffs[i])
     x0 = float(abs(coeffs[0])) if abs(coeffs[0]) > DEGENERACY_TOL else 0.0
     xs = (x0, float(abs(coeffs[1])), float(abs(coeffs[2])), float(abs(coeffs[3])))
@@ -345,7 +356,7 @@ def w_standard_form(state: PureState, tol: float = ROUND_TRIP_TOL) -> WStandardF
     recon, _ = apply_product(witness, w_form_state(*xs))
     fid = fidelity(recon, state)
     if fid < 1.0 - tol:
-        raise ValueError(f"W standard-form reconstruction fidelity {fid} below tolerance")
+        raise NumericalError(f"W standard-form reconstruction fidelity {fid} below tolerance")
     return WStandardForm(*xs, witness, off, fid)
 
 

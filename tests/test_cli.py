@@ -9,7 +9,7 @@ import pytest
 
 from mesq import cli
 from mesq import jsonio as io
-from mesq.core import ProductOperator, pauli, psd_sqrt
+from mesq.core import NumericalError, ProductOperator, ghz_state, pauli, psd_sqrt
 
 
 def run_cli(argv, capsys):
@@ -254,6 +254,63 @@ class TestDeterminism:
             subprocess.run(argv, capture_output=True, text=True).stdout for _ in range(2)
         ]
         assert runs[0] == runs[1] and runs[0].strip()
+
+
+SEP_FILES = ["--g", "{id4}", "--h", "{id4}", "--symmetries", "{syms}"]
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["majorize", "--y", "abc", "--x", "1,0"], 2),
+        (["classify3", "--state", "{bad_amps}"], 2),
+        (["mes4-check", "--params", "2,0+1i,0.5,1+1i", "--operator", "{bad_factors}"], 2),
+        (["mes3-gen", "--a", "0.6", "--beta", "0.7", "--betaprime", "-1.1",
+          "--out", "{tmp}/missing/x.json"], 2),
+        (["povm-build", *SEP_FILES, "--weights", "0.5,0.5,0.5,0.5"], 2),
+        (["povm-build", *SEP_FILES, "--weights", "0.25,0.25,0.25,0.25", "--r", "-1"], 2),
+        (["mes3-check", "--state", "{ghz}"], 3),
+    ],
+)
+def test_exit_codes(argv, expected, tmp_path, monkeypatch, capsys):
+    syms = [ProductOperator.identity(4)] + [ProductOperator.pauli_string(w * 4) for w in "xyz"]
+    contents = {
+        "id4": io.operator_to_obj(ProductOperator.identity(4)),
+        "syms": io.operators_to_obj(syms),
+        "ghz": io.state_to_obj(ghz_state()),
+        "bad_amps": {"n": 3, "amps": 5},
+        "bad_factors": {"factors": 5},
+    }
+    files = {"tmp": str(tmp_path)}
+    for name, obj in contents.items():
+        files[name] = str(tmp_path / f"{name}.json")
+        io.dump_json(files[name], obj)
+
+    def fail_numerically(*args, **kwargs):
+        raise NumericalError("forced numerical failure")
+
+    # only the mes3-check row reaches the forced failure
+    monkeypatch.setattr(cli.tri, "in_mes3", fail_numerically)
+    code, rep = report_of([a.format(**files) for a in argv], capsys)
+    assert code == expected and rep["error"]
+
+
+@pytest.mark.parametrize(
+    "reader,obj",
+    [
+        (io.state_from_obj, {"n": 3, "amps": 5}),
+        (io.state_from_obj, {"n": None, "amps": []}),
+        (io.state_from_obj, {"n": 1, "amps": [[[1], 0], [0, 0]]}),
+        (io.operator_from_obj, {"factors": 5}),
+        (io.operator_from_obj, {"factors": [5]}),
+        (io.operator_from_obj, {"factors": [[5, 6], [7, 8]]}),
+        (io.operators_from_obj, {"operators": 5}),
+        (io.matrix_from_obj, None),
+    ],
+)
+def test_readers_reject_malformed_structure(reader, obj):
+    with pytest.raises(ValueError):
+        reader(obj)
 
 
 class TestComplexParsing:

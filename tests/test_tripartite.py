@@ -241,6 +241,23 @@ class TestMes3Membership:
         with pytest.raises(ValueError, match="genuinely tripartite"):
             tri.in_mes3(st)
 
+    def test_z_one_with_negative_rounding_residue_is_member(self):
+        # an LU image of ghz_form_state(1, gammas); its z comes out as 1 - 3.6e-17i,
+        # and that rounding residue must not flip the sign fold of z to -1
+        amps = [
+            complex(-0.38762356999790154, -0.4387505883264022),
+            complex(0.15057049118647173, 0.10930687714489214),
+            complex(-0.09101881526355801, 0.3247938722594711),
+            complex(-0.21772349111598152, -0.26537942259426767),
+            complex(-0.0009562883937673176, 0.14052652580490155),
+            complex(0.008188452489198368, 0.21448639425166136),
+            complex(0.45459241764794667, 0.30249382298415195),
+            complex(0.021046536099243382, 0.1630992442798224),
+        ]
+        member, cert = tri.in_mes3(qc.PureState(3, np.array(amps)))
+        assert member, cert.reason
+        assert abs(cert.ghz_form.z - 1) < 1e-8
+
 
 class TestMes3Family:
     def test_param_validation(self):
