@@ -92,7 +92,7 @@ def cmd_stdform3(args, rng, tol):
     state = io.state_from_obj(_load(args.state))
     result = tri.classify_slocc3(state)
     if result.tag is tri.Slocc3Tag.GHZ_CLASS:
-        form = tri.ghz_standard_form(state)
+        form = tri.extract_ghz_form(state)
         return {
             "class": result.tag.value,
             "z": form.z,
@@ -100,7 +100,7 @@ def cmd_stdform3(args, rng, tol):
             "reconstruction_fidelity": form.reconstruction_fidelity,
         }
     if result.tag is tri.Slocc3Tag.W_CLASS:
-        form = tri.w_standard_form(state)
+        form = tri.extract_w_form(state)
         return {
             "class": result.tag.value,
             "x": [form.x0, form.x1, form.x2, form.x3],

@@ -382,7 +382,8 @@ def projective_measure(
 
     The measured party is removed from the register; remaining parties keep
     their relative order. With ``forced_outcome`` the branch is selected
-    deterministically and its true Born probability is returned.
+    deterministically and its true Born probability is returned; otherwise
+    the outcome is drawn from ``rng``, which must then be given.
     """
     _check_parties(state.num_qubits, [party])
     if state.num_qubits == 1:
@@ -405,9 +406,10 @@ def projective_measure(
             raise ValueError(
                 f"forced outcome {outcome} has vanishing probability {probs[outcome]}"
             )
+    elif rng is None:
+        raise ValueError("projective_measure needs rng or forced_outcome")
     else:
-        gen = rng if rng is not None else np.random.default_rng(0)
-        outcome = int(gen.random() < probs[1])
+        outcome = int(rng.random() < probs[1])
     prob, post = branches[outcome]
     post = post / math.sqrt(prob)
     return MeasureResult(outcome, prob, PureState(state.num_qubits - 1, post.reshape(-1)))

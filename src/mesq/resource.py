@@ -6,29 +6,33 @@ Qubits 6, 5, 4 are measured in that order in the bases
 theta_5 = +/- alpha_5 with the sign conditioned on the qubit-6 outcome. The
 leftover Pauli frame (sigma_z^{k4+k5} x sigma_z^{k5} sigma_y^{k6} x
 sigma_z^{k4+k6}) is inverted explicitly, so every branch delivers the exact
-target state rather than a Pauli-equivalent one.
+target state rather than a Pauli-equivalent one. All eight branches come from
+one contraction of the resource tensor, built once per process, with the
+measurement bras; sampled and forced runs both read from it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
+    BASIS_ORTHO_ATOL,
+    FORCED_BRANCH_MIN_PROB,
+    NORM_ATOL,
     DensityMatrix,
+    NumericalError,
     ProductOperator,
     PureState,
     apply_on,
     apply_product,
     cz_gate,
-    fidelity,
     hadamard,
     pauli,
-    phase_string_gate,
     plus_state,
-    projective_measure,
     t2_gate,
     t3_gate,
     z_rot,
@@ -55,6 +59,11 @@ def build_phi3() -> PureState:
     return state
 
 
+@functools.cache
+def _phi3_tensor() -> np.ndarray:
+    return build_phi3().tensor()
+
+
 @dataclass(frozen=True)
 class RepTargetParams:
     """Phase-gate angles selecting the prepared three-qubit state."""
@@ -64,15 +73,17 @@ class RepTargetParams:
     alpha6: float
 
 
+# sigma_z x sigma_z sign of each amplitude index on parties (1, 2), (1, 3), (2, 3)
+_BITS = (np.arange(8)[:, None] >> np.array([2, 1, 0])) & 1
+_SIGN12, _SIGN13, _SIGN23 = (-1.0) ** (_BITS @ [[1, 1, 0], [1, 0, 1], [0, 1, 1]]).T
+_T_LAYER = np.kron(np.kron(np.eye(2), t2_gate()), t3_gate())
+
+
 def target_state(params: RepTargetParams) -> PureState:
     """Z_13(a4) Z_12(a5) (1 x T_2 x T_3) Z_23(a6) |+++>, normalized."""
-    state = plus_state(3)
-    state = apply_on(state, phase_string_gate(params.alpha6, 2), [2, 3])
-    state = apply_on(state, t2_gate(), [2])
-    state = apply_on(state, t3_gate(), [3])
-    state = apply_on(state, phase_string_gate(params.alpha5, 2), [1, 2])
-    state = apply_on(state, phase_string_gate(params.alpha4, 2), [1, 3])
-    return state
+    inner = np.exp(1j * params.alpha6 * _SIGN23) / math.sqrt(8.0)
+    outer = np.exp(1j * (params.alpha4 * _SIGN13 + params.alpha5 * _SIGN12))
+    return PureState(3, outer * (_T_LAYER @ inner))
 
 
 _PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
@@ -95,8 +106,42 @@ class RepOutcome:
     corrected_state: PureState
 
 
-def _pauli_power(letter: str, k: int) -> np.ndarray:
-    return pauli(letter) if k % 2 else np.eye(2, dtype=complex)
+def _correction(k6: int, k5: int, k4: int) -> ProductOperator:
+    z, y, power = pauli("z"), pauli("y"), np.linalg.matrix_power
+    frame = (power(z, k4 + k5), power(z, k5) @ power(y, k6), power(z, k4 + k6))
+    return ProductOperator(frame).dagger()
+
+
+# every branch (k6, k5, k4) in report order, and the inverse of its Pauli frame
+_BRANCHES = tuple(np.ndindex(2, 2, 2))
+_CORRECTIONS = {k: _correction(*k) for k in _BRANCHES}
+_CORRECTION_MATRICES = np.reshape(
+    [c.full_matrix() for c in _CORRECTIONS.values()], (2, 2, 2, 8, 8))
+
+
+def _branches(params: RepTargetParams, adapt_sign: bool):
+    """Born probabilities (k6, k5, k4) and the normalized raw and corrected
+    three-qubit states (k6, k5, k4, 8) of all eight branches."""
+    theta5 = (params.alpha5, -params.alpha5 if adapt_sign else params.alpha5)
+    bases = np.array([measurement_basis(t) for t in (params.alpha6, *theta5, params.alpha4)])
+    bras = bases.conj()
+    if np.max(np.abs(np.einsum("nki,nli->nkl", bras, bases) - np.eye(2))) > BASIS_ORTHO_ATOL:
+        raise ValueError("measurement basis is not orthonormal within tolerance")
+    amps = np.einsum(
+        "abcdef,xf,xye,zd->xyzabc", _phi3_tensor(), bras[0], bras[1:3], bras[3]
+    ).reshape(2, 2, 2, 8)
+    probs = np.sum(np.abs(amps) ** 2, axis=-1)
+    raw = amps / np.sqrt(probs)[..., None]
+    corrected = np.einsum("xyzij,xyzj->xyzi", _CORRECTION_MATRICES, raw)
+    if not np.all(np.abs(np.linalg.norm(corrected, axis=-1) - 1.0) <= NORM_ATOL):
+        raise NumericalError("a corrected branch state lost its normalization")
+    return probs, raw, corrected
+
+
+def _conditionals(probs: np.ndarray):
+    """P(k6), P(k5 | k6) and P(k4 | k6, k5), indexed by the outcomes so far."""
+    p6, p65 = probs.sum(axis=(1, 2)), probs.sum(axis=2)
+    return p6 / p6.sum(), p65 / p6[:, None], probs / p65[..., None]
 
 
 def simulate_rep(
@@ -107,37 +152,29 @@ def simulate_rep(
 ) -> RepOutcome:
     """Measure qubits 6, 5, 4 of the resource state and undo the Pauli frame.
 
-    ``outcomes`` forces the branch as (k6, k5, k4). ``adapt_sign=False``
-    disables the outcome-conditioned sign of theta_5; it exists only as a
-    negative control, since without it determinism fails for alpha5 != 0 mod pi.
+    ``outcomes`` forces the branch as (k6, k5, k4), else ``rng`` draws it.
+    ``adapt_sign=False`` disables the outcome-conditioned sign of theta_5; it is
+    only a negative control, since without it determinism fails for alpha5 != 0 mod pi.
     """
-    gen = rng if rng is not None else np.random.default_rng(0)
     forced = (None, None, None) if outcomes is None else tuple(outcomes)
-    state = build_phi3()
-
-    res6 = projective_measure(
-        state, 6, measurement_basis(params.alpha6), forced_outcome=forced[0], rng=gen
-    )
-    k6 = res6.outcome
-    theta5 = params.alpha5 if (k6 == 0 or not adapt_sign) else -params.alpha5
-    res5 = projective_measure(
-        res6.post_state, 5, measurement_basis(theta5), forced_outcome=forced[1], rng=gen
-    )
-    k5 = res5.outcome
-    res4 = projective_measure(
-        res5.post_state, 4, measurement_basis(params.alpha4), forced_outcome=forced[2], rng=gen
-    )
-    k4 = res4.outcome
-
-    frame1 = _pauli_power("z", k4 + k5)
-    frame2 = _pauli_power("z", k5) @ _pauli_power("y", k6)
-    frame3 = _pauli_power("z", k4 + k6)
-    correction = ProductOperator(
-        tuple(m.conj().T for m in (frame1, frame2, frame3))
-    )
-    corrected, _ = apply_product(correction, res4.post_state)
-    prob = res6.probability * res5.probability * res4.probability
-    return RepOutcome(k4, k5, k6, prob, res4.post_state, correction, corrected)
+    if rng is None and None in forced:
+        raise ValueError("simulate_rep needs rng or forced outcomes")
+    probs, raw, corrected = _branches(params, adapt_sign)
+    ks = ()
+    for cond, k in zip(_conditionals(probs), forced):
+        p = cond[ks]
+        if k is None:
+            k = int(rng.random() < p[1])
+        else:
+            k = int(k)
+            if k not in (0, 1):
+                raise ValueError("forced outcome must be 0 or 1")
+            if p[k] < FORCED_BRANCH_MIN_PROB:
+                raise ValueError(f"forced outcome {k} has vanishing probability {p[k]}")
+        ks += (k,)
+    k6, k5, k4 = ks
+    raw_state, corrected_state = PureState(3, raw[ks]), PureState(3, corrected[ks])
+    return RepOutcome(k4, k5, k6, float(probs[ks]), raw_state, _CORRECTIONS[ks], corrected_state)
 
 
 @dataclass(frozen=True)
@@ -162,20 +199,16 @@ def verify_rep_determinism(
     params: RepTargetParams, tol: float = REP_FIDELITY_TOL
 ) -> RepReport:
     """Force all eight outcome paths and check each hits the target state."""
-    target = target_state(params)
-    records = []
-    total = 0.0
-    worst = 1.0
-    for k6 in (0, 1):
-        for k5 in (0, 1):
-            for k4 in (0, 1):
-                out = simulate_rep(params, outcomes=(k6, k5, k4))
-                f = fidelity(out.corrected_state, target)
-                records.append(RepBranchRecord(k6, k5, k4, out.branch_probability, f))
-                total += out.branch_probability
-                worst = min(worst, f)
+    probs, _, corrected = _branches(params, adapt_sign=True)
+    floor = min(float(cond.min()) for cond in _conditionals(probs))
+    if floor < FORCED_BRANCH_MIN_PROB:
+        raise ValueError(f"a forced outcome has vanishing probability {floor}")
+    fids = np.abs(corrected.conj() @ target_state(params).amplitudes) ** 2
+    records = tuple(RepBranchRecord(*k, float(probs[k]), float(fids[k])) for k in _BRANCHES)
+    total = float(probs.sum())
+    worst = min(1.0, float(fids.min()))
     all_pass = worst >= 1.0 - tol and abs(total - 1.0) <= PROB_SUM_ATOL
-    return RepReport(params, tuple(records), total, worst, all_pass)
+    return RepReport(params, records, total, worst, all_pass)
 
 
 @dataclass(frozen=True)

@@ -220,6 +220,11 @@ def ghz_standard_form(state: PureState, tol: float = ROUND_TRIP_TOL) -> GhzStand
     result = classify_slocc3(state)
     if result.tag is not Slocc3Tag.GHZ_CLASS:
         raise ValueError(f"state is not GHZ-class (classified {result.tag.value})")
+    return extract_ghz_form(state, tol)
+
+
+def extract_ghz_form(state: PureState, tol: float = ROUND_TRIP_TOL) -> GhzStandardForm:
+    """``ghz_standard_form`` of a state its caller has already classified GHZ-class."""
     vecs, rank_ratio = _two_term_decomposition(state)
     if rank_ratio > 1e-6:
         raise NumericalError(
@@ -319,6 +324,11 @@ def w_standard_form(state: PureState, tol: float = ROUND_TRIP_TOL) -> WStandardF
     result = classify_slocc3(state)
     if result.tag is not Slocc3Tag.W_CLASS:
         raise ValueError(f"state is not W-class (classified {result.tag.value})")
+    return extract_w_form(state, tol)
+
+
+def extract_w_form(state: PureState, tol: float = ROUND_TRIP_TOL) -> WStandardForm:
+    """``w_standard_form`` of a state its caller has already classified W-class."""
     t = state.tensor()
     rotations = []
     for p in range(3):
@@ -379,7 +389,7 @@ def in_mes3(state: PureState, tol: float = MES3_MATCH_TOL) -> tuple[bool, Mes3Ce
             f"membership is defined for genuinely tripartite states, got {result.tag.value}"
         )
     if result.tag is Slocc3Tag.GHZ_CLASS:
-        form = ghz_standard_form(state)
+        form = extract_ghz_form(state)
         z, gammas = form.z, form.gamma_x
         all_gamma_zero = all(g <= tol for g in gammas)
         if all_gamma_zero:
@@ -400,7 +410,7 @@ def in_mes3(state: PureState, tol: float = MES3_MATCH_TOL) -> tuple[bool, Mes3Ce
             else:
                 reason = "some gamma_x vanishes while others do not"
         return member, Mes3Certificate(member, result.tag, reason, ghz_form=form)
-    form = w_standard_form(state)
+    form = extract_w_form(state)
     member = form.x0 <= tol
     reason = "x0 = 0" if member else f"x0 = {form.x0:.6f} > 0: reachable from the x0 = 0 state"
     return member, Mes3Certificate(member, result.tag, reason, w_form=form)

@@ -303,3 +303,9 @@ class TestDensityMatrix:
         rho = qc.DensityMatrix.from_pure(qc.ghz_state(2))
         assert np.trace(rho.entries).real == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(rho.entries @ rho.entries, rho.entries, atol=1e-12)
+
+
+def test_projective_measure_without_rng_or_forced_outcome_raises():
+    basis = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="needs rng or forced_outcome"):
+        qc.projective_measure(qc.ghz_state(2), 1, basis)

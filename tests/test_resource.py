@@ -1,5 +1,6 @@
 """Tests for the six-qubit resource state and the preparation protocol."""
 
+import itertools
 import math
 
 import numpy as np
@@ -178,3 +179,84 @@ class TestPrepareMixed3:
         rng = np.random.default_rng(5)
         with pytest.raises(ValueError, match="sum to 1"):
             rep.prepare_mixed3([(0.4, rep.RepTargetParams(0, 0, 0), None)], rng)
+
+
+# -- the qubit-by-qubit protocol as an independent oracle ------------------------
+
+def _sequential_protocol(params, forced=(None, None, None), rng=None, adapt_sign=True):
+    """Measure qubits 6, 5, 4 of a fresh resource state one at a time with
+    core.projective_measure, then undo the Pauli frame with an explicit kron."""
+    res6 = qc.projective_measure(
+        rep.build_phi3(), 6, rep.measurement_basis(params.alpha6), forced[0], rng
+    )
+    k6 = res6.outcome
+    theta5 = params.alpha5 if (k6 == 0 or not adapt_sign) else -params.alpha5
+    res5 = qc.projective_measure(
+        res6.post_state, 5, rep.measurement_basis(theta5), forced[1], rng
+    )
+    k5 = res5.outcome
+    res4 = qc.projective_measure(
+        res5.post_state, 4, rep.measurement_basis(params.alpha4), forced[2], rng
+    )
+    k4 = res4.outcome
+    z, y = qc.pauli("z"), qc.pauli("y")
+    power = np.linalg.matrix_power
+    frame = np.kron(
+        np.kron(power(z, k4 + k5), power(z, k5) @ power(y, k6)), power(z, k4 + k6)
+    )
+    prob = res6.probability * res5.probability * res4.probability
+    return (k6, k5, k4), prob, frame.conj().T @ res4.post_state.amplitudes
+
+
+class TestSequentialOracle:
+    @pytest.mark.parametrize("adapt_sign", [True, False])
+    def test_every_branch_matches_sequential_protocol(self, adapt_sign):
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            params = rep.RepTargetParams(*rng.uniform(-math.pi, math.pi, 3))
+            for ks in itertools.product((0, 1), repeat=3):
+                _, prob, corrected = _sequential_protocol(params, ks, adapt_sign=adapt_sign)
+                out = rep.simulate_rep(params, outcomes=ks, adapt_sign=adapt_sign)
+                assert (out.k6, out.k5, out.k4) == ks
+                assert abs(out.branch_probability - prob) <= 1e-13
+                np.testing.assert_allclose(
+                    out.corrected_state.amplitudes, corrected, rtol=0, atol=1e-13
+                )
+
+    def test_report_matches_sequential_protocol(self):
+        rng = np.random.default_rng(22)
+        for _ in range(10):
+            params = rep.RepTargetParams(*rng.uniform(-math.pi, math.pi, 3))
+            target = rep.target_state(params).amplitudes
+            report = rep.verify_rep_determinism(params)
+            for branch in report.branches:
+                ks = (branch.k6, branch.k5, branch.k4)
+                _, prob, corrected = _sequential_protocol(params, ks)
+                assert abs(branch.probability - prob) <= 1e-13
+                assert abs(branch.corrected_fidelity - abs(np.vdot(corrected, target)) ** 2) <= 1e-13
+
+    def test_seeded_outcomes_match_sequential_protocol(self):
+        params = rep.RepTargetParams(0.4, -1.3, 2.1)
+        for seed in range(200):
+            out = rep.simulate_rep(params, rng=np.random.default_rng(seed))
+            ks, _, _ = _sequential_protocol(params, rng=np.random.default_rng(seed))
+            assert (out.k6, out.k5, out.k4) == ks
+
+    def test_target_matches_kron_construction(self):
+        plus3 = np.ones(8, dtype=complex) / math.sqrt(8.0)
+        z, one = np.diag(qc.pauli("z")), np.ones(2)
+        zz12, zz13, zz23 = (np.kron(np.kron(*pair[:2]), pair[2])
+                            for pair in ((z, z, one), (z, one, z), (one, z, z)))
+        t_layer = np.kron(np.kron(np.eye(2), qc.t2_gate()), qc.t3_gate())
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            a4, a5, a6 = rng.uniform(-math.pi, math.pi, 3)
+            expected = (np.diag(np.exp(1j * a4 * zz13)) @ np.diag(np.exp(1j * a5 * zz12))
+                        @ t_layer @ np.diag(np.exp(1j * a6 * zz23)) @ plus3)
+            got = rep.target_state(rep.RepTargetParams(a4, a5, a6)).amplitudes
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
+def test_simulate_rep_without_rng_or_outcomes_raises():
+    with pytest.raises(ValueError, match="needs rng or forced outcomes"):
+        rep.simulate_rep(rep.RepTargetParams(0.1, 0.2, 0.3))

@@ -299,3 +299,15 @@ class TestMes3Family:
 
         fields = inspect.signature(tri.Mes3Params).parameters
         assert len(fields) == 3
+
+
+@pytest.mark.parametrize(
+    "state",
+    [tri.ghz_form_state(1j, (0.2, 0.25, 0.3)), tri.w_form_state(0.5, 0.5, 0.5, 0.5)],
+)
+def test_in_mes3_classifies_once(monkeypatch, state):
+    calls = []
+    classify = tri.classify_slocc3
+    monkeypatch.setattr(tri, "classify_slocc3", lambda s: calls.append(s) or classify(s))
+    tri.in_mes3(state)
+    assert len(calls) == 1
