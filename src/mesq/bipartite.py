@@ -237,9 +237,7 @@ def prepare_mixed(ensemble: Ensemble, resource_protocols) -> DensityMatrix:
     protocols = list(resource_protocols)
     if len(protocols) != len(ensemble.entries):
         raise ValueError("one protocol per ensemble entry required")
-    dim = ensemble.entries[0][1].amplitudes.size
-    rho = np.zeros((dim, dim), dtype=complex)
-    for idx, ((p, state), protocol) in enumerate(zip(ensemble.entries, protocols)):
+    for idx, ((_, state), protocol) in enumerate(zip(ensemble.entries, protocols)):
         d = protocol.dims[0]
         if d * d != state.amplitudes.size:
             raise ValueError(f"entry {idx}: protocol dimension does not match the state")
@@ -254,5 +252,5 @@ def prepare_mixed(ensemble: Ensemble, resource_protocols) -> DensityMatrix:
                 raise ProtocolBranchError(idx, branch.outcome, f)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"entry {idx}: branch probabilities sum to {total}")
-        rho += p * np.outer(state.amplitudes, state.amplitudes.conj())
-    return DensityMatrix(dim, rho)
+    weights, states = zip(*ensemble.entries)
+    return DensityMatrix.mixture(weights, states)

@@ -7,6 +7,10 @@ Conventions used by every module in this package:
   the leading bit.
 * States are compared up to a global phase: two states are "equal" when
   ``fidelity(a, b) >= 1 - tol`` with ``tol = 1e-9`` by default.
+* Single-party operators are applied by ``contract(tensor, ops, axes)``: it
+  applies ``ops[i]``, of shape ``(m, d)``, along ``axes[i]`` (0-based; party p
+  is axis p - 1), in the order given, so an axis may be hit more than once. An
+  axis of size d becomes one of size m and keeps its place among the others.
 * All values are immutable after construction and every operation is a pure
   function; random number generators are always passed explicitly.
 """
@@ -22,7 +26,6 @@ NORM_ATOL = 1e-12
 HERMITIAN_ATOL = 1e-12
 PSD_ATOL = 1e-10
 TRACE_ATOL = 1e-12
-UNITARY_ATOL = 1e-12
 BASIS_ORTHO_ATOL = 1e-10
 FORCED_BRANCH_MIN_PROB = 1e-14
 PHASE_EQUAL_TOL = 1e-9
@@ -120,6 +123,7 @@ class ProductOperator:
     @classmethod
     def single(cls, n: int, party: int, factor) -> "ProductOperator":
         """Operator acting as ``factor`` on ``party`` (1-based) and identity elsewhere."""
+        _check_parties(n, [party])
         facs = [np.eye(2, dtype=complex) for _ in range(n)]
         facs[party - 1] = np.asarray(factor, dtype=complex)
         return cls(tuple(facs))
@@ -170,6 +174,16 @@ class DensityMatrix:
     def from_pure(cls, state: PureState) -> "DensityMatrix":
         v = state.amplitudes
         return cls(v.size, np.outer(v, v.conj()))
+
+    @classmethod
+    def mixture(cls, weights, states) -> "DensityMatrix":
+        """sum_i p_i |psi_i><psi_i|, accumulated in the order given."""
+        states = list(states)
+        dim = states[0].amplitudes.size
+        rho = np.zeros((dim, dim), dtype=complex)
+        for p, psi in zip(weights, states, strict=True):
+            rho += p * np.outer(psi.amplitudes, psi.amplitudes.conj())
+        return cls(dim, rho)
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.entries)
@@ -250,39 +264,6 @@ def phase_string_gate(alpha: float, num_targets: int) -> np.ndarray:
     return np.diag(np.exp(1j * alpha * signs))
 
 
-_GATE_BUILDERS = {
-    "pauli": lambda w: (pauli(w), 1),
-    "hadamard": lambda: (hadamard(), 1),
-    "z": lambda alpha: (z_rot(alpha), 1),
-    "yrot": lambda beta: (y_rot(beta), 1),
-    "xrot": lambda theta: (x_rot(theta), 1),
-    "t2": lambda: (t2_gate(), 1),
-    "t3": lambda: (t3_gate(), 1),
-    "cz": lambda: (cz_gate(), 2),
-    "phase": lambda alpha, num_targets: (
-        phase_string_gate(alpha, num_targets),
-        num_targets,
-    ),
-}
-
-
-def build_gate(kind: str, **params) -> tuple[np.ndarray, int]:
-    """Return ``(unitary, arity)`` for a named gate kind.
-
-    Kinds: ``pauli(w=..)``, ``hadamard``, ``z(alpha=..)``, ``yrot(beta=..)``,
-    ``xrot(theta=..)``, ``t2``, ``t3``, ``cz``, ``phase(alpha=.., num_targets=..)``.
-    """
-    try:
-        builder = _GATE_BUILDERS[kind]
-    except KeyError:
-        raise ValueError(f"unknown gate kind {kind!r}") from None
-    matrix, arity = builder(**params)
-    err = np.max(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0])))
-    if err > UNITARY_ATOL:
-        raise NumericalError(f"gate {kind} failed unitarity check ({err})")
-    return matrix, arity
-
-
 # -- applying operators ------------------------------------------------------
 
 def _check_parties(num_qubits: int, parties) -> list[int]:
@@ -295,6 +276,13 @@ def _check_parties(num_qubits: int, parties) -> list[int]:
         if not 1 <= p <= num_qubits:
             raise ValueError(f"party index {p} outside 1..{num_qubits}")
     return parties
+
+
+def contract(tensor: np.ndarray, ops, axes) -> np.ndarray:
+    """Apply ``ops[i]`` (shape ``(m, d)``) along ``axes[i]`` of ``tensor``, in order."""
+    for op, axis in zip(ops, axes, strict=True):
+        tensor = np.moveaxis(np.tensordot(op, tensor, axes=([1], [axis])), 0, axis)
+    return tensor
 
 
 def apply_on(state: PureState, unitary: np.ndarray, parties) -> PureState:
@@ -312,33 +300,17 @@ def apply_on(state: PureState, unitary: np.ndarray, parties) -> PureState:
     return PureState(state.num_qubits, t.reshape(-1))
 
 
-def apply_product(
-    op: ProductOperator, state: PureState, renormalize: bool = True
-) -> tuple[PureState, float]:
-    """Apply a product operator; returns the state and the pre-normalization squared norm.
-
-    With ``renormalize=False`` the operator must be norm-preserving, since the
-    returned state is always normalized.
-    """
+def apply_product(op: ProductOperator, state: PureState) -> tuple[PureState, float]:
+    """Apply a product operator; returns the state and the pre-normalization squared norm."""
     if op.num_parties != state.num_qubits:
         raise ValueError(
             f"operator has {op.num_parties} factors for a {state.num_qubits}-qubit state"
         )
-    t = state.tensor()
-    for axis, f in enumerate(op.factors):
-        t = np.moveaxis(np.tensordot(f, t, axes=([1], [axis])), 0, axis)
-    vec = t.reshape(-1)
+    vec = contract(state.tensor(), op.factors, range(state.num_qubits)).reshape(-1)
     sq_norm = float(np.vdot(vec, vec).real)
     if sq_norm < 1e-28:
         raise ValueError("product operator destroyed the state (zero output vector)")
-    if renormalize:
-        vec = vec / math.sqrt(sq_norm)
-    elif abs(sq_norm - 1.0) > 1e-9:
-        raise ValueError(
-            "renormalize=False requires a norm-preserving operator "
-            f"(squared norm was {sq_norm})"
-        )
-    return PureState(state.num_qubits, vec), sq_norm
+    return PureState(state.num_qubits, vec / math.sqrt(sq_norm)), sq_norm
 
 
 def reduced_density(state: PureState, keep) -> DensityMatrix:
@@ -356,10 +328,6 @@ def fidelity(a: PureState, b: PureState) -> float:
     if a.num_qubits != b.num_qubits:
         raise ValueError("qubit count mismatch")
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
-
-
-def states_equal(a: PureState, b: PureState, tol: float = PHASE_EQUAL_TOL) -> bool:
-    return fidelity(a, b) >= 1.0 - tol
 
 
 # -- measurement -------------------------------------------------------------
@@ -391,13 +359,9 @@ def projective_measure(
     b = np.column_stack([np.asarray(v, dtype=complex).reshape(2) for v in basis])
     if np.max(np.abs(b.conj().T @ b - np.eye(2))) > BASIS_ORTHO_ATOL:
         raise ValueError("measurement basis is not orthonormal within tolerance")
-    t = state.tensor()
-    branches = []
-    for k in range(2):
-        post = np.tensordot(b[:, k].conj(), t, axes=([0], [party - 1]))
-        prob = float(np.vdot(post, post).real)
-        branches.append((prob, post))
-    probs = np.array([branches[0][0], branches[1][0]])
+    branches = contract(state.tensor(), [b.conj().T], [party - 1])
+    posts = [branches.take(k, axis=party - 1) for k in range(2)]
+    probs = np.array([float(np.vdot(post, post).real) for post in posts])
     if forced_outcome is not None:
         outcome = int(forced_outcome)
         if outcome not in (0, 1):
@@ -410,8 +374,8 @@ def projective_measure(
         raise ValueError("projective_measure needs rng or forced_outcome")
     else:
         outcome = int(rng.random() < probs[1])
-    prob, post = branches[outcome]
-    post = post / math.sqrt(prob)
+    prob = float(probs[outcome])
+    post = posts[outcome] / math.sqrt(prob)
     return MeasureResult(outcome, prob, PureState(state.num_qubits - 1, post.reshape(-1)))
 
 
@@ -475,16 +439,12 @@ def _alternating_lu_search(a: PureState, b: PureState, us: list, iters: int) -> 
     best = 0.0
     for _ in range(iters):
         for i in range(n):
-            cur = at
-            for j in range(n):
-                if j != i:
-                    cur = np.moveaxis(np.tensordot(us[j], cur, axes=([1], [j])), 0, j)
+            others = [j for j in range(n) if j != i]
+            cur = contract(at, [us[j] for j in others], others)
             m = _overlap_matrix(bt, cur, i, n)
             w, _, vh = np.linalg.svd(m.T)
             us[i] = (w @ vh).conj().T
-        val = at
-        for j in range(n):
-            val = np.moveaxis(np.tensordot(us[j], val, axes=([1], [j])), 0, j)
+        val = contract(at, us, range(n))
         f = abs(np.vdot(bt.reshape(-1), val.reshape(-1))) ** 2
         if f <= best + 1e-15:
             best = max(best, f)
@@ -550,11 +510,8 @@ def lu_equivalent(
         return None
 
     # candidate from eigenbasis matching, diagonal phases resolved separately
-    at = a.tensor()
-    bt = b.tensor()
-    for j in range(n):
-        at = np.moveaxis(np.tensordot(basis_a[j].conj().T, at, axes=([1], [j])), 0, j)
-        bt = np.moveaxis(np.tensordot(basis_b[j].conj().T, bt, axes=([1], [j])), 0, j)
+    at = contract(a.tensor(), [v.conj().T for v in basis_a], range(n))
+    bt = contract(b.tensor(), [v.conj().T for v in basis_b], range(n))
     diags = _diag_phase_ascent(at, bt, n)
     candidates = [basis_b[j] @ diags[j] @ basis_a[j].conj().T for j in range(n)]
 

@@ -20,6 +20,9 @@ AXIS_TOL = 1e-10
 SYMMETRY_FIDELITY_TOL = 1e-10
 
 AXES = ("x", "y", "z")
+# 1, xxxx, yyyy, zzzz: for generic parameters, exactly the local symmetries of the seed
+PAULI_STRINGS = (ProductOperator.identity(4),
+                 *(ProductOperator.pauli_string(w * 4) for w in AXES))
 
 
 @dataclass(frozen=True)
@@ -89,14 +92,11 @@ def symmetry_group(params: GabcdParams) -> list[ProductOperator]:
         raise ValueError(f"parameters are not generic ({'; '.join(violations)}); "
                          "the symmetry group would be larger")
     seed = seed_state(params)
-    group = [ProductOperator.identity(4)]
-    for w in AXES:
-        group.append(ProductOperator.pauli_string(w * 4))
-    for s in group:
+    for s in PAULI_STRINGS:
         out, _ = apply_product(s, seed)
         if fidelity(out, seed) < 1.0 - SYMMETRY_FIDELITY_TOL:
             raise NumericalError("symmetry candidate failed to fix the seed state")
-    return group
+    return list(PAULI_STRINGS)
 
 
 class FactorTag(enum.Enum):
@@ -152,10 +152,25 @@ class PredicateWitness:
     axis: str
 
 
-def _require_generic(params: GabcdParams):
+def _factor_classes(op: ProductOperator, params: GabcdParams) -> tuple[FactorClass, ...]:
+    """Check genericity once, then classify each of the four factors once."""
     ok, violations = is_generic(params)
     if not ok:
         raise ValueError(f"parameters are not generic: {'; '.join(violations)}")
+    if op.num_parties != 4:
+        raise ValueError("expected a four-party operator")
+    return tuple(classify_factor(f) for f in op.factors)
+
+
+def _witness(classes, special_differs: bool) -> tuple[bool, PredicateWitness | None]:
+    """The first party s and axis w such that every other factor is axis-w or
+    proportional to the identity, and, if ``special_differs``, the one at s is not."""
+    for s in range(4):
+        for w in AXES:
+            others = all(classes[i].is_axis_or_id(w) for i in range(4) if i != s)
+            if others and not (special_differs and classes[s].is_axis_or_id(w)):
+                return True, PredicateWitness(special_party=s + 1, axis=w)
+    return False, None
 
 
 def is_reachable(
@@ -166,16 +181,7 @@ def is_reachable(
     True iff, for some party s and axis w, every other factor's positive part is
     of the form 1/2 + gamma*sigma_w (gamma = 0 allowed) while party s's is not.
     """
-    _require_generic(params)
-    if h.num_parties != 4:
-        raise ValueError("expected a four-party operator")
-    classes = [classify_factor(f) for f in h.factors]
-    for s in range(4):
-        for w in AXES:
-            others = [classes[i].is_axis_or_id(w) for i in range(4) if i != s]
-            if all(others) and not classes[s].is_axis_or_id(w):
-                return True, PredicateWitness(special_party=s + 1, axis=w)
-    return False, None
+    return _witness(_factor_classes(h, params), special_differs=True)
 
 
 def is_convertible(
@@ -186,15 +192,7 @@ def is_convertible(
     True iff, for some party s and axis w, every other factor is axis-w or
     proportional to the identity; the factor at s is arbitrary.
     """
-    _require_generic(params)
-    if g.num_parties != 4:
-        raise ValueError("expected a four-party operator")
-    classes = [classify_factor(f) for f in g.factors]
-    for s in range(4):
-        for w in AXES:
-            if all(classes[i].is_axis_or_id(w) for i in range(4) if i != s):
-                return True, PredicateWitness(special_party=s + 1, axis=w)
-    return False, None
+    return _witness(_factor_classes(g, params), special_differs=False)
 
 
 class Mes4Status(enum.Enum):
@@ -213,9 +211,9 @@ class Mes4Certificate:
 
 def mes4_status(g: ProductOperator, params: GabcdParams) -> Mes4Certificate:
     """MES membership/isolation verdict for the state g|seed>."""
-    reach, rw = is_reachable(g, params)
-    conv, cw = is_convertible(g, params)
-    classes = tuple(classify_factor(f) for f in g.factors)
+    classes = _factor_classes(g, params)
+    reach, rw = _witness(classes, special_differs=True)
+    conv, cw = _witness(classes, special_differs=False)
     if reach:
         status = Mes4Status.REACHABLE_NOT_IN_MES
     elif conv:

@@ -27,12 +27,10 @@ from .core import (
     NumericalError,
     ProductOperator,
     PureState,
-    apply_on,
     apply_product,
-    cz_gate,
+    contract,
     hadamard,
     pauli,
-    plus_state,
     t2_gate,
     t3_gate,
     z_rot,
@@ -45,18 +43,15 @@ CZ_LAYER = ((2, 3), (1, 2), (3, 4), (3, 5), (1, 5), (4, 5), (5, 6), (4, 6))
 
 
 def build_phi3() -> PureState:
-    """The six-qubit stabilizer resource state."""
-    state = plus_state(6)
-    for pair in CZ_LAYER:
-        state = apply_on(state, cz_gate(), pair)
-    state = apply_on(state, hadamard(), [1])
-    state = apply_on(state, z_rot(-math.pi / 4), [4])
-    state = apply_on(state, z_rot(-math.pi / 4), [5])
-    state = apply_on(state, z_rot(-math.pi / 4), [6])
-    state = apply_on(state, z_rot(math.pi / 2), [2])
-    state = apply_on(state, hadamard(), [3])
-    state = apply_on(state, z_rot(math.pi / 4), [3])
-    return state
+    """The six-qubit stabilizer resource state: the CZ layer on |+>^6, whose
+    amplitudes are the signs (-1)^(sum of b_i b_j over its edges) over 8,
+    followed by one local gate per qubit."""
+    bits = np.indices((2,) * 6)
+    signs = (-1.0) ** sum(bits[i - 1] * bits[j - 1] for i, j in CZ_LAYER)
+    quarter = z_rot(-math.pi / 4)
+    gates = (hadamard(), z_rot(math.pi / 2), z_rot(math.pi / 4) @ hadamard(),
+             quarter, quarter, quarter)
+    return PureState(6, contract(signs / 8.0, gates, range(6)).reshape(-1))
 
 
 @functools.cache
@@ -240,10 +235,7 @@ def prepare_mixed3(entries, rng: np.random.Generator) -> MixedPrepResult:
         if post_lu is not None:
             psi, _ = apply_product(post_lu, psi)
         finals.append(psi)
-    rho = np.zeros((8, 8), dtype=complex)
-    for w, psi in zip(weights, finals):
-        rho += w * np.outer(psi.amplitudes, psi.amplitudes.conj())
-    density = DensityMatrix(8, rho)
+    density = DensityMatrix.mixture(weights, finals)
 
     idx = int(rng.choice(len(entries), p=weights))
     _, params, post_lu = entries[idx]

@@ -28,17 +28,19 @@ from .core import (
     ProductOperator,
     PureState,
     apply_product,
+    contract,
     fidelity,
     lu_equivalent,
     psd_sqrt,
 )
 from .fourqubit import (
+    AXES,
+    PAULI_STRINGS,
     FactorTag,
     GabcdParams,
     classify_factor,
-    is_reachable,
+    mes4_status,
     seed_state,
-    symmetry_group,
 )
 from .nnls import nnls
 
@@ -98,26 +100,20 @@ class ProtocolBranch:
     vector: np.ndarray
 
 
-def _apply_local(vec: np.ndarray, dims, op: np.ndarray, party: int) -> np.ndarray:
-    t = vec.reshape(dims)
-    t = np.moveaxis(np.tensordot(op, t, axes=([1], [party - 1])), 0, party - 1)
-    return t.reshape(-1)
-
-
 def execute_protocol(protocol: LoccProtocol, vec: np.ndarray) -> list[ProtocolBranch]:
     """Run every branch on a normalized flat input vector."""
     vec = np.asarray(vec, dtype=complex).reshape(-1)
-    if vec.size != int(np.prod(protocol.dims)):
+    dims = protocol.dims
+    if vec.size != int(np.prod(dims)):
         raise ValueError("input vector does not match protocol dimensions")
     branches = []
     for k, kraus in enumerate(protocol.kraus_ops):
-        out = _apply_local(vec, protocol.dims, kraus, protocol.acting_party)
+        out = contract(vec.reshape(dims), [kraus], [protocol.acting_party - 1])
         prob = float(np.vdot(out, out).real)
         if prob > 0.0:
             out = out / math.sqrt(prob)
-        for party, u in enumerate(protocol.corrections[k], start=1):
-            out = _apply_local(out, protocol.dims, u, party)
-        branches.append(ProtocolBranch(k, prob, out))
+        out = contract(out, protocol.corrections[k], range(len(dims)))
+        branches.append(ProtocolBranch(k, prob, out.reshape(-1)))
     return branches
 
 
@@ -147,18 +143,26 @@ class SepInstance:
         object.__setattr__(self, "symmetries", tuple(self.symmetries))
 
 
+def _conjugated(H: ProductOperator, symmetries) -> list[np.ndarray]:
+    """The full matrices S^dag H S, one per symmetry S."""
+    hf = H.full_matrix()
+    out = []
+    for s in symmetries:
+        sf = s.full_matrix()
+        if sf.shape != hf.shape:
+            raise ValueError("symmetry dimension mismatch")
+        out.append(sf.conj().T @ hf @ sf)
+    return out
+
+
 def verify_sep(instance: SepInstance, tol: float = SEP_RESIDUAL_TOL) -> tuple[bool, float]:
     """Check the weight equation as full tensor operators; returns (ok, residual)."""
     gf = instance.G.full_matrix()
-    hf = instance.H.full_matrix()
-    if gf.shape != hf.shape:
+    if instance.G.num_parties != instance.H.num_parties:
         raise ValueError("G and H dimension mismatch")
     acc = np.zeros_like(gf)
-    for p, s in zip(instance.weights, instance.symmetries):
-        sf = s.full_matrix()
-        if sf.shape != gf.shape:
-            raise ValueError("symmetry dimension mismatch")
-        acc += p * (sf.conj().T @ hf @ sf)
+    for p, a in zip(instance.weights, _conjugated(instance.H, instance.symmetries)):
+        acc += p * a
     residual = float(np.max(np.abs(acc - instance.r * gf)))
     return residual < tol, residual
 
@@ -179,14 +183,12 @@ def solve_sep_weights(
     if not symmetries:
         raise ValueError("empty symmetry list")
     gf = G.full_matrix()
-    hf = H.full_matrix()
     tau = float(np.trace(gf).real)
     if tau <= 0:
         raise ValueError("G must have positive trace")
     cols = []
     traces = []
-    for s in symmetries:
-        a = s.full_matrix().conj().T @ hf @ s.full_matrix()
+    for a in _conjugated(H, symmetries):
         t = float(np.trace(a).real)
         traces.append(t)
         cols.append((a - (t / tau) * gf).reshape(-1))
@@ -244,9 +246,7 @@ def completeness_residual(povm) -> float:
 
 def norm_ratio(G: ProductOperator, H: ProductOperator, symmetries, weights) -> float:
     """r for given weights, from the trace of the weight equation."""
-    hf = H.full_matrix()
-    traces = [float(np.trace(s.full_matrix().conj().T @ hf @ s.full_matrix()).real)
-              for s in symmetries]
+    traces = [float(np.trace(a).real) for a in _conjugated(H, symmetries)]
     return float(np.dot(weights, traces) / np.trace(G.full_matrix()).real)
 
 
@@ -348,25 +348,23 @@ def synthesize_reach_protocol_4q(
     non-special factors are all proportional to the identity, the source is the
     seed itself and the full four-element symmetry group is used at weights 1/4.
     """
-    reachable, witness = is_reachable(h, params)
-    if not reachable:
+    cert = mes4_status(h, params)
+    witness, classes = cert.reachable_witness, cert.factor_classes
+    if witness is None:
         raise ValueError("target operator is not reachable; no protocol exists")
     s_idx = witness.special_party - 1
-    classes = [classify_factor(f) for f in h.factors]
     others_identity = all(
         classes[i].tag is FactorTag.PROPORTIONAL_IDENTITY for i in range(4) if i != s_idx
     )
     seed = seed_state(params)
-    group = symmetry_group(params)
 
     if others_identity:
-        symmetries = tuple(group)
+        symmetries = PAULI_STRINGS
         weights = np.full(4, 0.25)
         g_factors = [np.eye(2, dtype=complex) for _ in range(4)]
     else:
         w = witness.axis
-        flip = ProductOperator.pauli_string(w * 4)
-        symmetries = (ProductOperator.identity(4), flip)
+        symmetries = (PAULI_STRINGS[0], PAULI_STRINGS[1 + AXES.index(w)])
         weights = np.array([0.5, 0.5])
         g_factors = []
         for i, f in enumerate(h.factors):
@@ -381,9 +379,8 @@ def synthesize_reach_protocol_4q(
     g = ProductOperator(tuple(g_factors))
     # the special factor differs from its axis projection, so the states are
     # LU-inequivalent; double-checked numerically below
-    if classify_factor(g.factors[s_idx]).is_axis_or_id(witness.axis) == classify_factor(
-        h.factors[s_idx]
-    ).is_axis_or_id(witness.axis):
+    special = classify_factor(g.factors[s_idx])
+    if special.is_axis_or_id(witness.axis) == classes[s_idx].is_axis_or_id(witness.axis):
         raise ValueError("special factor is already of axis form; states would be LU-equivalent")
 
     big_g = positive_part(g)

@@ -216,6 +216,14 @@ class TestMes4Status:
         cert = fq.mes4_status(g, GENERIC)
         assert cert.status is fq.Mes4Status.NON_ISOLATED_IN_MES
 
+    def test_checks_genericity_once_and_classifies_each_factor_once(self, monkeypatch):
+        calls = []
+        is_generic, classify = fq.is_generic, fq.classify_factor
+        monkeypatch.setattr(fq, "is_generic", lambda p: calls.append("generic") or is_generic(p))
+        monkeypatch.setattr(fq, "classify_factor", lambda f: calls.append("factor") or classify(f))
+        fq.mes4_status(qc.ProductOperator.identity(4), GENERIC)
+        assert sorted(calls) == ["factor"] * 4 + ["generic"]
+
     def test_isolation_is_generic_behavior(self):
         rng = np.random.default_rng(6)
         isolated = sum(

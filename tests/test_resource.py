@@ -29,6 +29,20 @@ class TestBuildPhi3:
         st = qc.apply_on(st, qc.z_rot(math.pi / 4), [3])
         assert qc.fidelity(st, reference) >= 1 - 1e-12
 
+    def test_matches_sequential_gate_construction(self):
+        # oracle: one apply_on per CZ gate and per local gate, amplitude by
+        # amplitude, global phase included
+        st = qc.plus_state(6)
+        for pair in rep.CZ_LAYER:
+            st = qc.apply_on(st, qc.cz_gate(), pair)
+        st = qc.apply_on(st, qc.hadamard(), [1])
+        for q in (4, 5, 6):
+            st = qc.apply_on(st, qc.z_rot(-math.pi / 4), [q])
+        st = qc.apply_on(st, qc.z_rot(math.pi / 2), [2])
+        st = qc.apply_on(st, qc.hadamard(), [3])
+        st = qc.apply_on(st, qc.z_rot(math.pi / 4), [3])
+        assert np.max(np.abs(rep.build_phi3().amplitudes - st.amplitudes)) <= 1e-15
+
     def test_graph_layer_marginals_maximally_mixed(self):
         # before the local rotations the CZ layer on |+>^6 is a graph state
         st = qc.plus_state(6)

@@ -270,6 +270,14 @@ class TestSynthesis:
         synth = sep.synthesize_reach_protocol_4q(h, GENERIC)
         assert qc.lu_equivalent(synth.source, synth.target) is None
 
+    def test_checks_genericity_once(self, monkeypatch):
+        calls = []
+        is_generic = fq.is_generic
+        monkeypatch.setattr(fq, "is_generic", lambda p: calls.append(p) or is_generic(p))
+        h = qc.ProductOperator.single(4, 1, offaxis_factor(0.2, 0.15, 0.1))
+        sep.synthesize_reach_protocol_4q(h, GENERIC)
+        assert calls == [GENERIC]
+
     def test_unreachable_target_rejected(self):
         with pytest.raises(ValueError, match="not reachable"):
             sep.synthesize_reach_protocol_4q(qc.ProductOperator.identity(4), GENERIC)
