@@ -29,6 +29,12 @@ TRACE_ATOL = 1e-12
 BASIS_ORTHO_ATOL = 1e-10
 FORCED_BRANCH_MIN_PROB = 1e-14
 PHASE_EQUAL_TOL = 1e-9
+# lu_equivalent decides directly when every single-party spectral gap is at
+# least LU_SPECTRAL_GAP; amplitudes of weight at most LU_SUPPORT_WEIGHT in the
+# local eigenbases, where rounding leaves zero amplitudes, are left out of its
+# phase system.
+LU_SPECTRAL_GAP = 1e-4
+LU_SUPPORT_WEIGHT = 1e-20
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
 
@@ -426,12 +432,7 @@ def pauli_components(m: np.ndarray) -> tuple[complex, complex, complex, complex]
     return tuple(np.trace(PAULI[w] @ m) / 2.0 for w in "ixyz")
 
 
-# -- numeric local-unitary equivalence ---------------------------------------
-
-def _overlap_matrix(b_tensor: np.ndarray, a_tensor: np.ndarray, axis: int, n: int):
-    axes = [i for i in range(n) if i != axis]
-    return np.tensordot(b_tensor.conj(), a_tensor, axes=(axes, axes))
-
+# -- local-unitary equivalence -----------------------------------------------
 
 def _alternating_lu_search(a: PureState, b: PureState, us: list, iters: int) -> float:
     at, bt = a.tensor(), b.tensor()
@@ -441,7 +442,7 @@ def _alternating_lu_search(a: PureState, b: PureState, us: list, iters: int) -> 
         for i in range(n):
             others = [j for j in range(n) if j != i]
             cur = contract(at, [us[j] for j in others], others)
-            m = _overlap_matrix(bt, cur, i, n)
+            m = np.tensordot(bt.conj(), cur, axes=(others, others))
             w, _, vh = np.linalg.svd(m.T)
             us[i] = (w @ vh).conj().T
         val = contract(at, us, range(n))
@@ -453,72 +454,87 @@ def _alternating_lu_search(a: PureState, b: PureState, us: list, iters: int) -> 
     return best
 
 
-def _diag_phase_ascent(at: np.ndarray, bt: np.ndarray, n: int, iters: int = 100):
-    """Best diagonal-unitary product matching at to bt (states in local eigenbases)."""
-    phases = [np.ones(2, dtype=complex) for _ in range(n)]
-    for _ in range(iters):
-        improved = False
-        for i in range(n):
-            cur = at
-            for j in range(n):
-                if j != i:
-                    cur = np.moveaxis(cur, j, 0)
-                    cur = np.moveaxis((cur.T * phases[j]).T, 0, j)
-            m = _overlap_matrix(bt, cur, i, n)
-            diag = np.diagonal(m)
-            new = np.where(np.abs(diag) > 1e-15, diag.conj() / np.abs(diag), phases[i])
-            if np.max(np.abs(new - phases[i])) > 1e-13:
-                improved = True
-            phases[i] = new
-        if not improved:
+def _diagonalize(m: np.ndarray):
+    """Unimodular integer U, V and diagonal d with ``U @ m @ V`` zero except
+    ``d`` on its leading diagonal (the Smith form without its divisibility chain)."""
+    a = np.array(m, dtype=np.int64)
+    rows, cols = a.shape
+    u, v = np.eye(rows, dtype=np.int64), np.eye(cols, dtype=np.int64)
+    t = 0
+    while t < min(rows, cols):
+        nz = np.argwhere(a[t:, t:])
+        if not nz.size:
             break
-    return [np.diag(p) for p in phases]
+        i, j = nz[np.argmin(np.abs(a[t:, t:][tuple(nz.T)]))] + t
+        a[[t, i]], u[[t, i]] = a[[i, t]], u[[i, t]]
+        a[:, [t, j]], v[:, [t, j]] = a[:, [j, t]], v[:, [j, t]]
+        q = a[t + 1:, t] // a[t, t]
+        a[t + 1:] -= np.outer(q, a[t])
+        u[t + 1:] -= np.outer(q, u[t])
+        q = a[t, t + 1:] // a[t, t]
+        a[:, t + 1:] -= np.outer(a[:, t], q)
+        v[:, t + 1:] -= np.outer(v[:, t], q)
+        if not (a[t + 1:, t].any() or a[t, t + 1:].any()):
+            t += 1
+    return u, v, np.diagonal(a)[:t]
 
 
-def lu_equivalent(
-    a: PureState,
-    b: PureState,
-    tol: float = PHASE_EQUAL_TOL,
-    rng: np.random.Generator | None = None,
-    restarts: int = 24,
-    iters: int = 60,
-) -> ProductOperator | None:
-    """Search for single-qubit unitaries U_1 x ... x U_n mapping ``a`` onto ``b``.
+def _solve_mod_2pi(m: np.ndarray, theta: np.ndarray):
+    """Solve ``m @ x = theta (mod 2 pi)`` for an integer matrix ``m``.
 
-    Non-degenerate local spectra give candidate unitaries directly from the
-    eigenbases, with the leftover diagonal phases resolved by coordinate
-    ascent; degenerate spectra fall back to alternating optimization from
-    random starts. Returns a witness ProductOperator with
-    ``fidelity(U a, b) >= 1 - tol``, or ``None`` if the bounded search fails.
-    Failure is not a proof of inequivalence; a mismatch of local spectra,
-    however, rules equivalence out and short-circuits the search.
+    Returns ``(x, z, r)``: ``x`` solves the system whenever it is solvable,
+    and each row of ``z`` is an integer zero divisor (``z @ m == 0``) with
+    residual ``r = wrap(z @ theta)``. The system is solvable iff every
+    residual is 0 mod 2 pi, and a nonzero one proves it is not.
     """
-    if a.num_qubits != b.num_qubits:
-        raise ValueError("qubit count mismatch")
+    u, v, d = _diagonalize(m)
+    c = u @ theta
+    rank = len(d)
+    y = np.zeros(m.shape[1])
+    y[:rank] = c[:rank] / d
+    return v @ y, u[rank:], (c[rank:] + math.pi) % (2.0 * math.pi) - math.pi
+
+
+def _local_density(tensor: np.ndarray, axis: int) -> np.ndarray:
+    """One party's reduced density matrix, without DensityMatrix validation."""
+    m = np.moveaxis(tensor, axis, 0).reshape(2, -1)
+    return m @ m.conj().T
+
+
+def _eigenbasis_witness(ta, tb, basis_a, basis_b, tol):
+    n = ta.ndim
+    at = contract(ta, [v.conj().T for v in basis_a], range(n)).reshape(-1)
+    bt = contract(tb, [v.conj().T for v in basis_b], range(n)).reshape(-1)
+    mod_a, mod_b = np.abs(at), np.abs(bt)
+    # the best fidelity over diagonal phases is at most (sum_i |a_i| |b_i|)^2
+    if np.dot(mod_a, mod_b) ** 2 < 1.0 - tol:
+        return None
+    support = np.flatnonzero(mod_a**2 > LU_SUPPORT_WEIGHT)
+    bits = (support[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    m = np.column_stack([np.ones(len(support), dtype=np.int64), bits])
+    theta = np.angle(bt[support] / at[support])
+    x, zero_divisors, residuals = _solve_mod_2pi(m, theta)
+    # a zero divisor z with residual r forces some phase error of at least
+    # |r| / |z|_1 on its support; 1 - cos e >= 2 e^2 / pi^2 bounds the loss
+    mod_s = mod_a[support]
+    for z, r in zip(zero_divisors, residuals):
+        w_min = mod_s[z != 0].min() ** 2
+        if 2.0 * w_min * r**2 / (math.pi**2 * np.abs(z).sum() ** 2) > tol:
+            return None
+    # rounding noise on arg(b_i / a_i) grows as 1 / |a_i|; one least-squares
+    # step weighted by |a_i| keeps small pivot amplitudes from setting the
+    # phases of large ones
+    err = (m @ x - theta + math.pi) % (2.0 * math.pi) - math.pi
+    x = x - np.linalg.lstsq(m * mod_s[:, None], err * mod_s, rcond=None)[0]
+    return [vb @ np.diag([1.0, np.exp(1j * xp)]) @ va.conj().T
+            for va, vb, xp in zip(basis_a, basis_b, x[1:])]
+
+
+def _searched_witness(a, b, tol, rng, restarts, iters):
     n = a.num_qubits
     gen = rng if rng is not None else np.random.default_rng(0)
-
-    spectra_gap = 0.0
-    basis_a, basis_b = [], []
-    for p in range(1, n + 1):
-        ea, va = np.linalg.eigh(reduced_density(a, [p]).entries)
-        eb, vb = np.linalg.eigh(reduced_density(b, [p]).entries)
-        spectra_gap = max(spectra_gap, float(np.max(np.abs(ea - eb))))
-        basis_a.append(va)
-        basis_b.append(vb)
-    if spectra_gap > 10.0 * math.sqrt(max(tol, 1e-16)) + 1e-10:
-        return None
-
-    # candidate from eigenbasis matching, diagonal phases resolved separately
-    at = contract(a.tensor(), [v.conj().T for v in basis_a], range(n))
-    bt = contract(b.tensor(), [v.conj().T for v in basis_b], range(n))
-    diags = _diag_phase_ascent(at, bt, n)
-    candidates = [basis_b[j] @ diags[j] @ basis_a[j].conj().T for j in range(n)]
-
-    starts = [candidates, [np.eye(2, dtype=complex) for _ in range(n)]]
-    for _ in range(restarts):
-        starts.append([random_unitary(gen) for _ in range(n)])
-
+    starts = [[np.eye(2, dtype=complex) for _ in range(n)]]
+    starts += [[random_unitary(gen) for _ in range(n)] for _ in range(restarts)]
     best_f, best_us = -1.0, None
     for start in starts:
         us = [u.copy() for u in start]
@@ -533,7 +549,56 @@ def lu_equivalent(
     for u in best_us:
         w, _, vh = np.linalg.svd(u)
         cleaned.append(w @ vh)
-    witness = ProductOperator(tuple(cleaned))
+    return cleaned
+
+
+def lu_equivalent(
+    a: PureState,
+    b: PureState,
+    tol: float = PHASE_EQUAL_TOL,
+    rng: np.random.Generator | None = None,
+    restarts: int = 24,
+    iters: int = 60,
+) -> ProductOperator | None:
+    """Find single-qubit unitaries U_1 x ... x U_n mapping ``a`` onto ``b``.
+
+    Returns a witness ProductOperator with ``fidelity(U a, b) >= 1 - tol``,
+    or ``None``. Local spectra that differ rule equivalence out. When every
+    single-party spectrum has a gap of at least ``LU_SPECTRAL_GAP``, each U_p
+    must carry the eigenbasis of a onto that of b up to diagonal phases, so
+    the question is decided directly: in those bases the moduli must agree,
+    and the phase of b_i / a_i on each supported amplitude i must equal
+    x_0 + sum_p bit_p(i) x_p (mod 2 pi), which an integer diagonalization
+    solves exactly. ``None`` is then a decision up to ``tol``: it is returned
+    when the moduli or a zero-divisor residual bound the fidelity of every
+    product unitary below ``1 - tol``. A degenerate or near-degenerate
+    spectrum (GHZ, the four-qubit G_abcd family) falls back to alternating
+    optimization from the identity and ``restarts`` random starts drawn from
+    ``rng``, and there ``None`` only means that the bounded search found no
+    witness.
+    """
+    if a.num_qubits != b.num_qubits:
+        raise ValueError("qubit count mismatch")
+    n = a.num_qubits
+    spectra_tol = 10.0 * math.sqrt(max(tol, 1e-16)) + 1e-10
+    ta, tb = a.tensor(), b.tensor()
+    basis_a, basis_b, gap = [], [], math.inf
+    for axis in range(n):
+        ea, va = np.linalg.eigh(_local_density(ta, axis))
+        eb, vb = np.linalg.eigh(_local_density(tb, axis))
+        if np.max(np.abs(ea - eb)) > spectra_tol:
+            return None
+        gap = min(gap, ea[1] - ea[0], eb[1] - eb[0])
+        basis_a.append(va)
+        basis_b.append(vb)
+
+    if gap >= LU_SPECTRAL_GAP:
+        us = _eigenbasis_witness(ta, tb, basis_a, basis_b, tol)
+    else:
+        us = _searched_witness(a, b, tol, rng, restarts, iters)
+    if us is None:
+        return None
+    witness = ProductOperator(tuple(us))
     out, _ = apply_product(witness, a)
     if fidelity(out, b) < 1.0 - tol:
         return None
