@@ -17,6 +17,7 @@ Conventions used by every module in this package:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,9 +31,12 @@ BASIS_ORTHO_ATOL = 1e-10
 FORCED_BRANCH_MIN_PROB = 1e-14
 PHASE_EQUAL_TOL = 1e-9
 # lu_equivalent decides directly when every single-party spectral gap is at
-# least LU_SPECTRAL_GAP; amplitudes of weight at most LU_SUPPORT_WEIGHT in the
-# local eigenbases, where rounding leaves zero amplitudes, are left out of its
-# phase system.
+# least LU_SPECTRAL_GAP. Failing that, a four-qubit pair is decided from the
+# density of parties 1 and 2 when its spectral gaps, its smallest eigenvalue
+# and the concurrence of each of its eigenvectors are all at least
+# LU_SPECTRAL_GAP. Amplitudes of weight at most LU_SUPPORT_WEIGHT in the local
+# eigenbases, where rounding leaves zero amplitudes, are left out of the
+# single-party phase system.
 LU_SPECTRAL_GAP = 1e-4
 LU_SUPPORT_WEIGHT = 1e-20
 
@@ -50,6 +54,10 @@ PAULI = {
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+# U^T Y U = c Y for a unitary U on two qubits iff U is a phase times U_1 x U_2
+# or times (U_1 x U_2) SWAP: in the magic basis such a U is a phase times a
+# real orthogonal matrix (Verstraete et al., PRA 65, 052112 (2002))
+_SPIN_FLIP = np.kron(PAULI["y"], PAULI["y"])
 
 
 def _frozen_array(a, shape=None) -> np.ndarray:
@@ -530,6 +538,53 @@ def _eigenbasis_witness(ta, tb, basis_a, basis_b, tol):
             for va, vb, xp in zip(basis_a, basis_b, x[1:])]
 
 
+def _nearest_unitary(m: np.ndarray) -> np.ndarray:
+    w, _, vh = np.linalg.svd(m)
+    return w @ vh
+
+
+def _split_product(u: np.ndarray):
+    """Factors f_1, f_2 of the product f_1 x f_2 nearest the 4x4 matrix ``u``,
+    from the leading singular pair of its realignment, and the ratio of its two
+    largest singular values, which is 0 iff ``u`` is a product."""
+    w, s, vh = np.linalg.svd(u.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4))
+    root = math.sqrt(s[0])
+    return root * w[:, 0].reshape(2, 2), root * vh[0].reshape(2, 2), s[1] / s[0]
+
+
+def _two_party_witness(ma, mb, eig_a, eig_b, tol):
+    """U_1, ..., U_4 mapping the four-qubit state ``ma`` onto ``mb``, both as 4x4
+    matrices with parties 1 and 2 on the rows, from the eigenpairs of their
+    two-party densities ``m m^dag``; ``None`` when a precondition fails or no
+    candidate maps."""
+    (ea, va), (eb, vb) = eig_a, eig_b
+    # v^T Y v is the preconcurrence of eigenvector v: 0 for a product state
+    pre_a = np.einsum("ji,jk,ki->i", va, _SPIN_FLIP, va)
+    pre_b = np.einsum("ji,jk,ki->i", vb, _SPIN_FLIP, vb)
+    # the eigenvalues ascend, so prepending 0 also bounds the smallest one
+    if min(np.diff(ea, prepend=0.0).min(), np.diff(eb, prepend=0.0).min(),
+           np.abs(pre_a).min(), np.abs(pre_b).min()) < LU_SPECTRAL_GAP:
+        return None
+    # U_1 x U_2 = V_b D V_a^dag for a diagonal unitary D, and U^T Y U = c Y
+    # reads D (V_b^T Y V_b) D = c (V_a^T Y V_a); up to a global phase c = 1, so
+    # d_i^2 = pre_a_i / pre_b_i fixes D up to the signs of d_1, d_2 and d_3
+    half = np.exp(0.5j * np.angle(pre_a / pre_b))
+    for signs in itertools.product((1, -1), repeat=3):
+        u12 = (vb * half * (1, *signs)) @ va.conj().T
+        f1, f2, ratio12 = _split_product(u12)
+        if ratio12**2 > tol:
+            continue
+        # m_b = U_12 m_a U_34^T up to a phase, and m_a is invertible
+        f3, f4, ratio34 = _split_product(np.linalg.solve(u12 @ ma, mb).T)
+        if ratio34**2 > tol:
+            continue
+        us = [_nearest_unitary(f) for f in (f1, f2, f3, f4)]
+        out = contract(ma.reshape(2, 2, 2, 2), us, range(4))
+        if abs(np.vdot(mb, out)) ** 2 >= 1.0 - tol:
+            return us
+    return None
+
+
 def _searched_witness(a, b, tol, rng, restarts, iters):
     n = a.num_qubits
     gen = rng if rng is not None else np.random.default_rng(0)
@@ -545,11 +600,7 @@ def _searched_witness(a, b, tol, rng, restarts, iters):
             break
     if best_f < 1.0 - tol:
         return None
-    cleaned = []
-    for u in best_us:
-        w, _, vh = np.linalg.svd(u)
-        cleaned.append(w @ vh)
-    return cleaned
+    return [_nearest_unitary(u) for u in best_us]
 
 
 def lu_equivalent(
@@ -571,11 +622,22 @@ def lu_equivalent(
     x_0 + sum_p bit_p(i) x_p (mod 2 pi), which an integer diagonalization
     solves exactly. ``None`` is then a decision up to ``tol``: it is returned
     when the moduli or a zero-divisor residual bound the fidelity of every
-    product unitary below ``1 - tol``. A degenerate or near-degenerate
-    spectrum (GHZ, the four-qubit G_abcd family) falls back to alternating
-    optimization from the identity and ``restarts`` random starts drawn from
-    ``rng``, and there ``None`` only means that the bounded search found no
-    witness.
+    product unitary below ``1 - tol``.
+
+    Four-qubit pairs with a degenerate single-party spectrum (the G_abcd
+    family) are compared through the density of parties 1 and 2, whose
+    spectrum is also an LU invariant: a mismatch returns ``None``. When that
+    spectrum is non-degenerate and bounded away from 0 and no eigenvector is
+    nearly a product state, U_1 x U_2 = V_b D V_a^dag for a diagonal unitary
+    D, and the magic-basis reality condition of two-qubit product unitaries
+    fixes D up to eight sign choices. Each candidate is split into U_1 and U_2
+    by realignment, U_3 x U_4 follows from the state matrices, and the first
+    candidate that maps is the witness.
+
+    Everything else (GHZ, a degenerate two-party spectrum, or no candidate
+    that maps) falls back to alternating optimization from the identity and
+    ``restarts`` random starts drawn from ``rng``, and there ``None`` only
+    means that the bounded search found no witness.
     """
     if a.num_qubits != b.num_qubits:
         raise ValueError("qubit count mismatch")
@@ -595,7 +657,15 @@ def lu_equivalent(
     if gap >= LU_SPECTRAL_GAP:
         us = _eigenbasis_witness(ta, tb, basis_a, basis_b, tol)
     else:
-        us = _searched_witness(a, b, tol, rng, restarts, iters)
+        us = None
+        if n == 4:
+            ma, mb = ta.reshape(4, 4), tb.reshape(4, 4)
+            eig_a, eig_b = np.linalg.eigh(ma @ ma.conj().T), np.linalg.eigh(mb @ mb.conj().T)
+            if np.max(np.abs(eig_a[0] - eig_b[0])) > spectra_tol:
+                return None
+            us = _two_party_witness(ma, mb, eig_a, eig_b, tol)
+        if us is None:
+            us = _searched_witness(a, b, tol, rng, restarts, iters)
     if us is None:
         return None
     witness = ProductOperator(tuple(us))

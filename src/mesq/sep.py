@@ -30,7 +30,6 @@ from .core import (
     apply_product,
     contract,
     fidelity,
-    lu_equivalent,
     psd_sqrt,
 )
 from .fourqubit import (
@@ -329,6 +328,25 @@ class SynthesizedConversion:
     axis: str | None
 
 
+# one 2x2 factor per Pauli-string symmetry and party, shape (4, 4, 2, 2)
+_SYMMETRY_FACTORS = np.array([s.factors for s in PAULI_STRINGS])
+
+
+def _images_lu_equivalent(big_g: ProductOperator, big_h: ProductOperator) -> bool:
+    """Whether g|seed> and h|seed> are LU-equivalent, given G = g^dag g and
+    H = h^dag h: iff H is proportional to S^dag G S for one Pauli-string
+    symmetry S of the generic seed, which for products holds factor by factor."""
+
+    def unit_trace(op):
+        m = np.array(op.factors)
+        return m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
+
+    conj = np.einsum("spji,pjk,spkl->spil", _SYMMETRY_FACTORS.conj(), unit_trace(big_g),
+                     _SYMMETRY_FACTORS)
+    close = np.abs(conj - unit_trace(big_h)).max(axis=(2, 3)) <= SEP_RESIDUAL_TOL
+    return bool(close.all(axis=1).any())
+
+
 def _axis_projection(h_factor: np.ndarray, w: str) -> np.ndarray:
     """Positive part of the factor projected onto span{1, sigma_w}."""
     big = h_factor.conj().T @ h_factor
@@ -400,7 +418,7 @@ def synthesize_reach_protocol_4q(
     ok, reports = verify_conversion(povm, source, target)
     if not ok:
         raise NumericalError("synthesized POVM failed branch verification")
-    if lu_equivalent(source, target, restarts=6, iters=40) is not None:
+    if _images_lu_equivalent(big_g, big_h):
         raise NumericalError("source and target are LU-equivalent; synthesis is vacuous")
 
     protocol = _povm_to_protocol(povm, witness.special_party)

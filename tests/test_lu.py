@@ -8,6 +8,7 @@ over product unitaries.
 """
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -286,3 +287,112 @@ def test_sweep_pairs_missed_by_search_return_witness(k):
     witness = qc.lu_equivalent(qc.PureState(3, a), qc.PureState(3, b),
                                rng=np.random.default_rng(0))
     _assert_witness_maps(witness, a, b)
+
+
+# -- four-qubit pairs decided from the density of parties 1 and 2 -------------------
+
+PERMS_4 = np.array(list(itertools.permutations(range(4))))
+
+
+def _gabcd(a, b, c, d):
+    vec = np.zeros(16, dtype=complex)
+    vec[[0b0000, 0b1111]] = (a + d) / 2
+    vec[[0b0011, 0b1100]] = (a - d) / 2
+    vec[[0b0101, 0b1010]] = (b + c) / 2
+    vec[[0b0110, 0b1001]] = (b - c) / 2
+    return vec / np.linalg.norm(vec)
+
+
+def _far_from_degenerate(rng):
+    """(a, b, c, d) whose squares are distinct, nonzero and not mapped onto
+    themselves by any scaling q != 1, each by a margin."""
+    while True:
+        p = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        sq = p * p
+        scale = np.max(np.abs(sq))
+        gaps = np.abs(sq[:, None] - sq[None, :])[np.triu_indices(4, 1)]
+        if gaps.min() < 0.2 * scale or np.min(np.abs(sq)) < 0.2 * scale:
+            continue
+        q = (sq[:, None] / sq[None, :])[~np.eye(4, dtype=bool)]
+        margin = np.abs(q[:, None, None] * sq[None, None, :] - sq[PERMS_4][None]).max(axis=2)
+        if margin.min() > 0.05 * scale:
+            return p
+
+
+def _four_qubit_sweep(count):
+    """Pairs (a, b) drawn from default_rng(7): a is a Haar product image of a
+    G_abcd seed with parameters far from degenerate, and b is a second Haar
+    product image of a, for each pair in turn."""
+    rng = np.random.default_rng(7)
+    pairs = []
+    for _ in range(count):
+        a = _kron([_haar(rng) for _ in range(4)]) @ _gabcd(*_far_from_degenerate(rng))
+        b = _kron([_haar(rng) for _ in range(4)]) @ a
+        pairs.append((a, b / np.linalg.norm(b)))
+    return pairs
+
+
+def test_four_qubit_sweep_decided_without_search(search_calls):
+    for a, b in _four_qubit_sweep(60):
+        witness = qc.lu_equivalent(qc.PureState(4, a), qc.PureState(4, b),
+                                   rng=np.random.default_rng(0))
+        _assert_witness_maps(witness, a, b)
+    assert search_calls == []
+
+
+def test_seed_images_decided_directly(search_calls):
+    rng = np.random.default_rng(5)
+    seed = _gabcd(2, 1j, 0.5, 1 + 1j)
+    images = [_kron([qc.pauli(w)] * 4) @ seed for w in "xyz"]
+    images.append(_kron([_haar(rng) for _ in range(4)]) @ seed)
+    for image in images:
+        witness = qc.lu_equivalent(qc.PureState(4, seed), qc.PureState(4, image))
+        _assert_witness_maps(witness, seed, image)
+    assert search_calls == []
+
+
+def test_degenerate_two_party_spectrum_searches(search_calls):
+    # |a| = |b| with a^2 != b^2: generic, but rho_12 has a double eigenvalue
+    rng = np.random.default_rng(6)
+    seed = _gabcd(1.0, np.exp(1j * math.pi / 3), 0.5, 0.3 + 0.2j)
+    image = _kron([_haar(rng) for _ in range(4)]) @ seed
+    witness = qc.lu_equivalent(qc.PureState(4, seed), qc.PureState(4, image))
+    assert search_calls
+    if witness is not None:
+        # a searched witness maps within the fidelity tolerance only
+        assert abs(np.vdot(image, _kron(witness.factors) @ seed)) ** 2 >= 1 - TOL
+
+
+def test_two_party_spectrum_mismatch_is_none_without_search(search_calls):
+    rng = np.random.default_rng(8)
+    a = _kron([_haar(rng) for _ in range(4)]) @ _gabcd(2, 1j, 0.5, 1 + 1j)
+    b = _kron([_haar(rng) for _ in range(4)]) @ _gabcd(2, 1j, 0.6, 1 + 1j)
+    assert qc.lu_equivalent(qc.PureState(4, a), qc.PureState(4, b)) is None
+    assert search_calls == []
+
+
+def test_equal_two_party_spectrum_inequivalent_pair_agrees_with_scipy():
+    # the same |a|, ..., |d| give the same spectrum of rho_12, but the squares
+    # {a^2, b^2, c^2, d^2} differ beyond a common phase, an LU invariant
+    rng = np.random.default_rng(9)
+    a = _kron([_haar(rng) for _ in range(4)]) @ _gabcd(2, 1j, 0.5, 1 + 1j)
+    b = _kron([_haar(rng) for _ in range(4)]) @ _gabcd(2, 1j, 0.5, (1 + 1j) * np.exp(1j))
+    assert qc.lu_equivalent(qc.PureState(4, a), qc.PureState(4, b)) is None
+    assert _best_product_fidelity(a, b, 4, seed=9) < 1 - TOL
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1))
+def test_realignment_splits_products_and_rejects_cnot(seed):
+    rng = np.random.default_rng(seed)
+    u1, u2, v1, v2 = (_haar(rng) for _ in range(4))
+    product = np.exp(1j * rng.uniform(0, 2 * math.pi)) * np.kron(u1, u2)
+    f1, f2, ratio = qc._split_product(product)
+    recovered = np.kron(f1, f2)
+    phase = np.vdot(recovered.reshape(-1), product.reshape(-1))
+    np.testing.assert_allclose(recovered * phase / abs(phase), product, rtol=0, atol=1e-12)
+    assert ratio < 1e-12
+    # CNOT has two equal operator-Schmidt coefficients, and local unitaries keep them
+    cnot = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
+    _, _, ratio = qc._split_product(np.kron(u1, u2) @ cnot @ np.kron(v1, v2))
+    assert ratio > 0.99 and ratio**2 > 1e6 * TOL

@@ -270,6 +270,32 @@ class TestSynthesis:
         synth = sep.synthesize_reach_protocol_4q(h, GENERIC)
         assert qc.lu_equivalent(synth.source, synth.target) is None
 
+    def test_vacuity_guard_is_the_symmetry_lemma(self, monkeypatch):
+        # g = u h S with u a local unitary and S a Pauli-string symmetry maps
+        # the seed to u h|seed>, an LU image of h|seed>; a Pauli string that
+        # is not a symmetry does not
+        rng = np.random.default_rng(4)
+        seed = fq.seed_state(GENERIC)
+        h = qc.random_product_invertible(4, rng)
+        target, _ = qc.apply_product(h, seed)
+        for s, flagged in [(s, True) for s in fq.PAULI_STRINGS] + [
+                (qc.ProductOperator.pauli_string("xiii"), False)]:
+            g = qc.random_product_unitary(4, rng).compose(h).compose(s)
+            source, _ = qc.apply_product(g, seed)
+            assert sep._images_lu_equivalent(sep.positive_part(g), sep.positive_part(h)) is flagged
+            assert (qc.lu_equivalent(source, target) is not None) is flagged
+        h = qc.ProductOperator(
+            (offaxis_factor(0.2, 0.0, 0.1), axis_factor("x", 0.1),
+             axis_factor("x", 0.2), axis_factor("x", 0.25))
+        )
+        synth = sep.synthesize_reach_protocol_4q(h, GENERIC)
+        assert not sep._images_lu_equivalent(sep.positive_part(synth.source_operator),
+                                             sep.positive_part(h))
+        monkeypatch.setattr(sep, "_images_lu_equivalent", lambda *args: True)
+        with pytest.raises(qc.NumericalError,
+                           match="source and target are LU-equivalent; synthesis is vacuous"):
+            sep.synthesize_reach_protocol_4q(h, GENERIC)
+
     def test_checks_genericity_once(self, monkeypatch):
         calls = []
         is_generic = fq.is_generic
