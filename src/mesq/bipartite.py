@@ -13,13 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, PureState
+from .core import (EXACT_FIDELITY_TOL, RESIDUAL_TOL, ROUNDING_ATOL, TIE_ATOL, VANISHING_ATOL,
+                   DensityMatrix, PureState)
 from .sep import LoccProtocol, execute_protocol
-
-MAJORIZATION_TOL = 1e-12
-SCHMIDT_SUM_ATOL = 1e-12
-TARGET_NORM_ATOL = 1e-9
-BRANCH_FIDELITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -36,11 +32,11 @@ class SchmidtData:
 
     def __post_init__(self):
         c = np.asarray(self.coefficients, dtype=float)
-        if c.min() < -MAJORIZATION_TOL:
+        if c.min() < -ROUNDING_ATOL:
             raise ValueError("Schmidt coefficients must be nonnegative")
-        if np.any(np.diff(c) > MAJORIZATION_TOL):
+        if np.any(np.diff(c) > ROUNDING_ATOL):
             raise ValueError("Schmidt coefficients must be sorted non-increasing")
-        if abs(np.sum(c**2) - 1.0) > SCHMIDT_SUM_ATOL:
+        if abs(np.sum(c**2) - 1.0) > ROUNDING_ATOL:
             raise ValueError("squared Schmidt coefficients must sum to 1")
         c.setflags(write=False)
         object.__setattr__(self, "coefficients", c)
@@ -81,19 +77,19 @@ def reconstruct(schmidt: SchmidtData) -> np.ndarray:
     return out
 
 
-def majorizes(y, x, tol: float = MAJORIZATION_TOL) -> bool:
+def majorizes(y, x) -> bool:
     """True iff y majorizes x: sorted partial sums of y dominate those of x."""
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     if y.shape != x.shape or y.ndim != 1:
         raise ValueError("vectors must share the same length")
-    if y.min() < -tol or x.min() < -tol:
+    if y.min() < -ROUNDING_ATOL or x.min() < -ROUNDING_ATOL:
         raise ValueError("entries must be nonnegative")
-    if abs(y.sum() - x.sum()) > tol:
+    if abs(y.sum() - x.sum()) > ROUNDING_ATOL:
         return False
     cy = np.cumsum(np.sort(y)[::-1])
     cx = np.cumsum(np.sort(x)[::-1])
-    return bool(np.all(cy >= cx - tol))
+    return bool(np.all(cy >= cx - ROUNDING_ATOL))
 
 
 class ConversionRelation(enum.Enum):
@@ -180,9 +176,9 @@ def phi_plus_to_target(target) -> LoccProtocol:
         lam = np.asarray(target, dtype=float)
         d = lam.size
         ua = ub = np.eye(d, dtype=complex)
-    if lam.min() < -1e-15:
+    if lam.min() < -TIE_ATOL:
         raise ValueError("negative Schmidt weights")
-    if abs(lam.sum() - 1.0) > TARGET_NORM_ATOL:
+    if abs(lam.sum() - 1.0) > RESIDUAL_TOL:
         raise ValueError("target Schmidt vector is not normalized")
     kraus = []
     corrections = []
@@ -208,7 +204,7 @@ class Ensemble:
         weights = np.array([p for p, _ in entries])
         if weights.min() < 0:
             raise ValueError("weights must be nonnegative")
-        if abs(weights.sum() - 1.0) > 1e-12:
+        if abs(weights.sum() - 1.0) > ROUNDING_ATOL:
             raise ValueError("weights must sum to 1")
         object.__setattr__(self, "entries", entries)
 
@@ -245,12 +241,12 @@ def prepare_mixed(ensemble: Ensemble, resource_protocols) -> DensityMatrix:
         total = 0.0
         for branch in execute_protocol(protocol, source):
             total += branch.probability
-            if branch.probability < 1e-14:
+            if branch.probability < VANISHING_ATOL:
                 continue
             f = abs(np.vdot(branch.vector, state.amplitudes)) ** 2
-            if f < 1.0 - BRANCH_FIDELITY_TOL:
+            if f < 1.0 - EXACT_FIDELITY_TOL:
                 raise ProtocolBranchError(idx, branch.outcome, f)
-        if abs(total - 1.0) > 1e-12:
+        if abs(total - 1.0) > ROUNDING_ATOL:
             raise ValueError(f"entry {idx}: branch probabilities sum to {total}")
     weights, states = zip(*ensemble.entries)
     return DensityMatrix.mixture(weights, states)

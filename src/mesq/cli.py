@@ -22,7 +22,7 @@ from . import jsonio as io
 from . import resource as rep
 from . import sep
 from . import tripartite as tri
-from .core import NumericalError, fidelity
+from .core import PHASE_EQUAL_TOL, STANDARD_FORM_TOL, NumericalError, fidelity
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -111,7 +111,7 @@ def cmd_stdform3(args, rng, tol):
 
 def cmd_mes3_check(args, rng, tol):
     state = io.state_from_obj(_load(args.state))
-    member, cert = tri.in_mes3(state, tol=max(tol, tri.MES3_MATCH_TOL))
+    member, cert = tri.in_mes3(state, tol=max(tol, STANDARD_FORM_TOL))
     payload = {"in_mes3": member, "class": cert.slocc.value, "reason": cert.reason}
     if cert.ghz_form is not None:
         payload["z"] = cert.ghz_form.z
@@ -329,7 +329,7 @@ def cmd_mixed_prep(args, rng, tol):
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-9, help="verification tolerance")
+    common.add_argument("--tol", type=float, default=PHASE_EQUAL_TOL, help="verification tolerance")
     common.add_argument("--seed", type=int, default=0, help="RNG seed for sampling commands")
     common.add_argument(
         "--no-json",

@@ -6,7 +6,9 @@ Conventions used by every module in this package:
   amplitude index, i.e. ``amplitudes[0b10] == <10|psi>`` pairs party 1 with
   the leading bit.
 * States are compared up to a global phase: two states are "equal" when
-  ``fidelity(a, b) >= 1 - tol`` with ``tol = 1e-9`` by default.
+  ``fidelity(a, b) >= 1 - tol`` with ``tol = PHASE_EQUAL_TOL`` (1e-9).
+* Every fixed numerical threshold of the package is in the tolerance table
+  below, named by what it decides; the other modules import it from here.
 * Single-party operators are applied by ``contract(tensor, ops, axes)``: it
   applies ``ops[i]``, of shape ``(m, d)``, along ``axes[i]`` (0-based; party p
   is axis p - 1), in the order given, so an axis may be hit more than once. An
@@ -23,22 +25,60 @@ from dataclasses import dataclass
 
 import numpy as np
 
-NORM_ATOL = 1e-12
-HERMITIAN_ATOL = 1e-12
-PSD_ATOL = 1e-10
-TRACE_ATOL = 1e-12
-BASIS_ORTHO_ATOL = 1e-10
-FORCED_BRANCH_MIN_PROB = 1e-14
+# -- tolerances ----------------------------------------------------------------
+# Unless said otherwise, a bound is absolute and applies to an order-one value.
+
+# exact identities (a unit norm, trace or probability sum, Hermiticity,
+# nonnegativity, majorization) hold within rounding; an order-one determinant,
+# eigenvalue, amplitude or weight total below it is zero; z is real when
+# |Im z| <= ROUNDING_ATOL |z|
+ROUNDING_ATOL = 1e-12
+# a norm, probability, determinant or parameter below it is zero and is not
+# divided by; apply_product compares a squared norm with its square
+VANISHING_ATOL = 1e-14
+# values this close tie: a search sweep that gains nothing, two equal arguments
+# of z, a Schmidt weight of zero
+TIE_ATOL = 1e-15
+# states are equal up to a global phase when their fidelity is >= 1 - PHASE_EQUAL_TOL
 PHASE_EQUAL_TOL = 1e-9
+# a map exact by construction (a symmetry, a protocol branch) must reach
+# fidelity >= 1 - EXACT_FIDELITY_TOL
+EXACT_FIDELITY_TOL = 1e-10
+# largest entry error of an equation that valid input satisfies: the SEP weight
+# equation, POVM completeness, unitarity, an input's unit norm, |z| = 1
+RESIDUAL_TOL = 1e-9
+# B^dag B = 1 for a measurement basis, or summed over a protocol's Kraus operators
+ORTHONORMAL_ATOL = 1e-10
+# eigenvalues down to -PSD_ATOL count as nonnegative
+PSD_ATOL = 1e-10
+# a three-qubit state is GHZ-class iff |hyperdeterminant| > HYPERDET_THRESHOLD;
+# a local rank counts the singular values > RANK_SV_THRESHOLD
+HYPERDET_THRESHOLD = 1e-10
+RANK_SV_THRESHOLD = 1e-10
+# a slice pencil is degenerate when its determinants are < PENCIL_DEGENERACY_TOL
+# times its scale (floored at SCALE_FLOOR), or a remainder's norm is below it
+PENCIL_DEGENERACY_TOL = 1e-13
+SCALE_FLOOR = 1e-300
+# a matrix is rank one when its singular values s_1 / s_0 <= RANK_ONE_RATIO
+RANK_ONE_RATIO = 1e-6
+# a standard-form parameter (gamma_x, z, x0, an overlap) within this of 0, 1 or
+# i takes that value
+STANDARD_FORM_TOL = 1e-8
+# G_abcd parameters are generic unless squares or scalings agree within
+# GENERICITY_TOL; a factor's Pauli component is present when > AXIS_TOL
+GENERICITY_TOL = 1e-10
+AXIS_TOL = 1e-10
 # lu_equivalent decides directly when every single-party spectral gap is at
 # least LU_SPECTRAL_GAP. Failing that, a four-qubit pair is decided from the
 # density of parties 1 and 2 when its spectral gaps, its smallest eigenvalue
 # and the concurrence of each of its eigenvectors are all at least
 # LU_SPECTRAL_GAP. Amplitudes of weight at most LU_SUPPORT_WEIGHT in the local
 # eigenbases, where rounding leaves zero amplitudes, are left out of the
-# single-party phase system.
+# single-party phase system. Local spectra differing by more than
+# LU_SPECTRA_TOL rule equivalence out.
 LU_SPECTRAL_GAP = 1e-4
 LU_SUPPORT_WEIGHT = 1e-20
+LU_SPECTRA_TOL = 10.0 * math.sqrt(PHASE_EQUAL_TOL) + 1e-10
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
 
@@ -86,9 +126,9 @@ class PureState:
                 f"amplitude vector has length {amps.size}, expected {2 ** self.num_qubits}"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-9:
+        if abs(norm - 1.0) > RESIDUAL_TOL:
             raise ValueError(f"state norm {norm} deviates from 1 beyond tolerance")
-        if abs(norm - 1.0) > NORM_ATOL:
+        if abs(norm - 1.0) > ROUNDING_ATOL:
             amps = _frozen_array(amps / norm)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -100,7 +140,7 @@ class PureState:
         if 2**n != amps.size:
             raise ValueError("amplitude vector length must be a power of 2")
         norm = np.linalg.norm(amps)
-        if norm < 1e-14:
+        if norm < VANISHING_ATOL:
             raise ValueError("cannot normalize a zero vector")
         return cls(n, amps / norm)
 
@@ -148,7 +188,7 @@ class ProductOperator:
     def inverse(self) -> "ProductOperator":
         invs = []
         for k, f in enumerate(self.factors):
-            if abs(np.linalg.det(f)) < 1e-14:
+            if abs(np.linalg.det(f)) < VANISHING_ATOL:
                 raise ValueError(f"factor for party {k + 1} is singular")
             invs.append(np.linalg.inv(f))
         return ProductOperator(tuple(invs))
@@ -175,9 +215,9 @@ class DensityMatrix:
 
     def __post_init__(self):
         ent = _frozen_array(self.entries, shape=(self.dim, self.dim))
-        if np.max(np.abs(ent - ent.conj().T)) > HERMITIAN_ATOL:
+        if np.max(np.abs(ent - ent.conj().T)) > ROUNDING_ATOL:
             raise ValueError("density matrix is not Hermitian within tolerance")
-        if abs(np.trace(ent).real - 1.0) > TRACE_ATOL or abs(np.trace(ent).imag) > TRACE_ATOL:
+        if abs(np.trace(ent).real - 1.0) > ROUNDING_ATOL or abs(np.trace(ent).imag) > ROUNDING_ATOL:
             raise ValueError("density matrix trace deviates from 1")
         eigs = np.linalg.eigvalsh(ent)
         if eigs.min() < -PSD_ATOL:
@@ -322,7 +362,7 @@ def apply_product(op: ProductOperator, state: PureState) -> tuple[PureState, flo
         )
     vec = contract(state.tensor(), op.factors, range(state.num_qubits)).reshape(-1)
     sq_norm = float(np.vdot(vec, vec).real)
-    if sq_norm < 1e-28:
+    if sq_norm < VANISHING_ATOL**2:
         raise ValueError("product operator destroyed the state (zero output vector)")
     return PureState(state.num_qubits, vec / math.sqrt(sq_norm)), sq_norm
 
@@ -371,7 +411,7 @@ def projective_measure(
     if state.num_qubits == 1:
         raise ValueError("cannot remove the last remaining qubit")
     b = np.column_stack([np.asarray(v, dtype=complex).reshape(2) for v in basis])
-    if np.max(np.abs(b.conj().T @ b - np.eye(2))) > BASIS_ORTHO_ATOL:
+    if np.max(np.abs(b.conj().T @ b - np.eye(2))) > ORTHONORMAL_ATOL:
         raise ValueError("measurement basis is not orthonormal within tolerance")
     branches = contract(state.tensor(), [b.conj().T], [party - 1])
     posts = [branches.take(k, axis=party - 1) for k in range(2)]
@@ -380,7 +420,7 @@ def projective_measure(
         outcome = int(forced_outcome)
         if outcome not in (0, 1):
             raise ValueError("forced outcome must be 0 or 1")
-        if probs[outcome] < FORCED_BRANCH_MIN_PROB:
+        if probs[outcome] < VANISHING_ATOL:
             raise ValueError(
                 f"forced outcome {outcome} has vanishing probability {probs[outcome]}"
             )
@@ -406,11 +446,9 @@ def random_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
-def random_invertible(
-    rng: np.random.Generator, s_min: float = 0.5, s_max: float = 2.0
-) -> np.ndarray:
-    """Random invertible 2x2 with singular values bounded in [s_min, s_max]."""
-    s = rng.uniform(s_min, s_max, size=2)
+def random_invertible(rng: np.random.Generator) -> np.ndarray:
+    """Random invertible 2x2 with singular values in [0.5, 2]."""
+    s = rng.uniform(0.5, 2.0, size=2)
     return random_unitary(rng) @ np.diag(s).astype(complex) @ random_unitary(rng)
 
 
@@ -418,10 +456,8 @@ def random_product_unitary(n: int, rng: np.random.Generator) -> ProductOperator:
     return ProductOperator(tuple(random_unitary(rng) for _ in range(n)))
 
 
-def random_product_invertible(
-    n: int, rng: np.random.Generator, s_min: float = 0.5, s_max: float = 2.0
-) -> ProductOperator:
-    return ProductOperator(tuple(random_invertible(rng, s_min, s_max) for _ in range(n)))
+def random_product_invertible(n: int, rng: np.random.Generator) -> ProductOperator:
+    return ProductOperator(tuple(random_invertible(rng) for _ in range(n)))
 
 
 # -- positive 2x2 helpers ----------------------------------------------------
@@ -455,7 +491,7 @@ def _alternating_lu_search(a: PureState, b: PureState, us: list, iters: int) -> 
             us[i] = (w @ vh).conj().T
         val = contract(at, us, range(n))
         f = abs(np.vdot(bt.reshape(-1), val.reshape(-1))) ** 2
-        if f <= best + 1e-15:
+        if f <= best + TIE_ATOL:
             best = max(best, f)
             break
         best = f
@@ -509,13 +545,13 @@ def _local_density(tensor: np.ndarray, axis: int) -> np.ndarray:
     return m @ m.conj().T
 
 
-def _eigenbasis_witness(ta, tb, basis_a, basis_b, tol):
+def _eigenbasis_witness(ta, tb, basis_a, basis_b):
     n = ta.ndim
     at = contract(ta, [v.conj().T for v in basis_a], range(n)).reshape(-1)
     bt = contract(tb, [v.conj().T for v in basis_b], range(n)).reshape(-1)
     mod_a, mod_b = np.abs(at), np.abs(bt)
     # the best fidelity over diagonal phases is at most (sum_i |a_i| |b_i|)^2
-    if np.dot(mod_a, mod_b) ** 2 < 1.0 - tol:
+    if np.dot(mod_a, mod_b) ** 2 < 1.0 - PHASE_EQUAL_TOL:
         return None
     support = np.flatnonzero(mod_a**2 > LU_SUPPORT_WEIGHT)
     bits = (support[:, None] >> np.arange(n - 1, -1, -1)) & 1
@@ -527,7 +563,7 @@ def _eigenbasis_witness(ta, tb, basis_a, basis_b, tol):
     mod_s = mod_a[support]
     for z, r in zip(zero_divisors, residuals):
         w_min = mod_s[z != 0].min() ** 2
-        if 2.0 * w_min * r**2 / (math.pi**2 * np.abs(z).sum() ** 2) > tol:
+        if 2.0 * w_min * r**2 / (math.pi**2 * np.abs(z).sum() ** 2) > PHASE_EQUAL_TOL:
             return None
     # rounding noise on arg(b_i / a_i) grows as 1 / |a_i|; one least-squares
     # step weighted by |a_i| keeps small pivot amplitudes from setting the
@@ -538,7 +574,8 @@ def _eigenbasis_witness(ta, tb, basis_a, basis_b, tol):
             for va, vb, xp in zip(basis_a, basis_b, x[1:])]
 
 
-def _nearest_unitary(m: np.ndarray) -> np.ndarray:
+def nearest_unitary(m: np.ndarray) -> np.ndarray:
+    """The unitary nearest ``m``: its polar factor, from the SVD."""
     w, _, vh = np.linalg.svd(m)
     return w @ vh
 
@@ -552,19 +589,18 @@ def _split_product(u: np.ndarray):
     return root * w[:, 0].reshape(2, 2), root * vh[0].reshape(2, 2), s[1] / s[0]
 
 
-def _two_party_witness(ma, mb, eig_a, eig_b, tol):
+def _two_party_eigen(m: np.ndarray):
+    """Ascending eigenvalues, eigenvectors and eigenvector preconcurrences
+    v^T Y v (0 for a product state) of the two-party density ``m m^dag``."""
+    e, v = np.linalg.eigh(m @ m.conj().T)
+    return e, v, np.einsum("ji,jk,ki->i", v, _SPIN_FLIP, v)
+
+
+def _two_party_witness(ma, mb, eig_a, eig_b):
     """U_1, ..., U_4 mapping the four-qubit state ``ma`` onto ``mb``, both as 4x4
-    matrices with parties 1 and 2 on the rows, from the eigenpairs of their
-    two-party densities ``m m^dag``; ``None`` when a precondition fails or no
-    candidate maps."""
-    (ea, va), (eb, vb) = eig_a, eig_b
-    # v^T Y v is the preconcurrence of eigenvector v: 0 for a product state
-    pre_a = np.einsum("ji,jk,ki->i", va, _SPIN_FLIP, va)
-    pre_b = np.einsum("ji,jk,ki->i", vb, _SPIN_FLIP, vb)
-    # the eigenvalues ascend, so prepending 0 also bounds the smallest one
-    if min(np.diff(ea, prepend=0.0).min(), np.diff(eb, prepend=0.0).min(),
-           np.abs(pre_a).min(), np.abs(pre_b).min()) < LU_SPECTRAL_GAP:
-        return None
+    matrices with parties 1 and 2 on the rows, from ``_two_party_eigen`` of
+    each; ``None`` when no candidate maps."""
+    (ea, va, pre_a), (eb, vb, pre_b) = eig_a, eig_b
     # U_1 x U_2 = V_b D V_a^dag for a diagonal unitary D, and U^T Y U = c Y
     # reads D (V_b^T Y V_b) D = c (V_a^T Y V_a); up to a global phase c = 1, so
     # d_i^2 = pre_a_i / pre_b_i fixes D up to the signs of d_1, d_2 and d_3
@@ -572,57 +608,52 @@ def _two_party_witness(ma, mb, eig_a, eig_b, tol):
     for signs in itertools.product((1, -1), repeat=3):
         u12 = (vb * half * (1, *signs)) @ va.conj().T
         f1, f2, ratio12 = _split_product(u12)
-        if ratio12**2 > tol:
+        if ratio12**2 > PHASE_EQUAL_TOL:
             continue
         # m_b = U_12 m_a U_34^T up to a phase, and m_a is invertible
         f3, f4, ratio34 = _split_product(np.linalg.solve(u12 @ ma, mb).T)
-        if ratio34**2 > tol:
+        if ratio34**2 > PHASE_EQUAL_TOL:
             continue
-        us = [_nearest_unitary(f) for f in (f1, f2, f3, f4)]
+        us = [nearest_unitary(f) for f in (f1, f2, f3, f4)]
         out = contract(ma.reshape(2, 2, 2, 2), us, range(4))
-        if abs(np.vdot(mb, out)) ** 2 >= 1.0 - tol:
+        if abs(np.vdot(mb, out)) ** 2 >= 1.0 - PHASE_EQUAL_TOL:
             return us
     return None
 
 
-def _searched_witness(a, b, tol, rng, restarts, iters):
+def _searched_witness(a, b, rng):
     n = a.num_qubits
     gen = rng if rng is not None else np.random.default_rng(0)
     starts = [[np.eye(2, dtype=complex) for _ in range(n)]]
-    starts += [[random_unitary(gen) for _ in range(n)] for _ in range(restarts)]
+    starts += [[random_unitary(gen) for _ in range(n)] for _ in range(24)]
     best_f, best_us = -1.0, None
     for start in starts:
         us = [u.copy() for u in start]
-        f = _alternating_lu_search(a, b, us, iters)
+        f = _alternating_lu_search(a, b, us, 60)
         if f > best_f:
             best_f, best_us = f, [u.copy() for u in us]
-        if best_f >= 1.0 - tol:
+        if best_f >= 1.0 - PHASE_EQUAL_TOL:
             break
-    if best_f < 1.0 - tol:
+    if best_f < 1.0 - PHASE_EQUAL_TOL:
         return None
-    return [_nearest_unitary(u) for u in best_us]
+    return [nearest_unitary(u) for u in best_us]
 
 
 def lu_equivalent(
-    a: PureState,
-    b: PureState,
-    tol: float = PHASE_EQUAL_TOL,
-    rng: np.random.Generator | None = None,
-    restarts: int = 24,
-    iters: int = 60,
+    a: PureState, b: PureState, rng: np.random.Generator | None = None
 ) -> ProductOperator | None:
     """Find single-qubit unitaries U_1 x ... x U_n mapping ``a`` onto ``b``.
 
-    Returns a witness ProductOperator with ``fidelity(U a, b) >= 1 - tol``,
-    or ``None``. Local spectra that differ rule equivalence out. When every
-    single-party spectrum has a gap of at least ``LU_SPECTRAL_GAP``, each U_p
-    must carry the eigenbasis of a onto that of b up to diagonal phases, so
-    the question is decided directly: in those bases the moduli must agree,
-    and the phase of b_i / a_i on each supported amplitude i must equal
-    x_0 + sum_p bit_p(i) x_p (mod 2 pi), which an integer diagonalization
-    solves exactly. ``None`` is then a decision up to ``tol``: it is returned
-    when the moduli or a zero-divisor residual bound the fidelity of every
-    product unitary below ``1 - tol``.
+    Returns a witness ProductOperator with ``fidelity(U a, b) >= 1 -
+    PHASE_EQUAL_TOL``, or ``None``. Local spectra that differ rule equivalence
+    out. When every single-party spectrum has a gap of at least
+    ``LU_SPECTRAL_GAP``, each U_p must carry the eigenbasis of a onto that of b
+    up to diagonal phases, so the question is decided directly: in those bases
+    the moduli must agree, and the phase of b_i / a_i on each supported
+    amplitude i must equal x_0 + sum_p bit_p(i) x_p (mod 2 pi), which an
+    integer diagonalization solves exactly. ``None`` is then a decision up to
+    ``PHASE_EQUAL_TOL``: it is returned when the moduli or a zero-divisor
+    residual bound the fidelity of every product unitary below that.
 
     Four-qubit pairs with a degenerate single-party spectrum (the G_abcd
     family) are compared through the density of parties 1 and 2, whose
@@ -632,44 +663,47 @@ def lu_equivalent(
     D, and the magic-basis reality condition of two-qubit product unitaries
     fixes D up to eight sign choices. Each candidate is split into U_1 and U_2
     by realignment, U_3 x U_4 follows from the state matrices, and the first
-    candidate that maps is the witness.
+    candidate that maps is the witness; when none maps, ``None`` is a decision.
 
-    Everything else (GHZ, a degenerate two-party spectrum, or no candidate
-    that maps) falls back to alternating optimization from the identity and
-    ``restarts`` random starts drawn from ``rng``, and there ``None`` only
-    means that the bounded search found no witness.
+    Everything else (GHZ, a degenerate two-party spectrum) falls back to
+    alternating optimization from the identity and 24 random starts drawn
+    from ``rng``, and there ``None`` only means that the bounded search found
+    no witness.
     """
     if a.num_qubits != b.num_qubits:
         raise ValueError("qubit count mismatch")
     n = a.num_qubits
-    spectra_tol = 10.0 * math.sqrt(max(tol, 1e-16)) + 1e-10
     ta, tb = a.tensor(), b.tensor()
     basis_a, basis_b, gap = [], [], math.inf
     for axis in range(n):
         ea, va = np.linalg.eigh(_local_density(ta, axis))
         eb, vb = np.linalg.eigh(_local_density(tb, axis))
-        if np.max(np.abs(ea - eb)) > spectra_tol:
+        if np.max(np.abs(ea - eb)) > LU_SPECTRA_TOL:
             return None
         gap = min(gap, ea[1] - ea[0], eb[1] - eb[0])
         basis_a.append(va)
         basis_b.append(vb)
 
     if gap >= LU_SPECTRAL_GAP:
-        us = _eigenbasis_witness(ta, tb, basis_a, basis_b, tol)
+        us = _eigenbasis_witness(ta, tb, basis_a, basis_b)
+    elif n != 4:
+        us = _searched_witness(a, b, rng)
     else:
-        us = None
-        if n == 4:
-            ma, mb = ta.reshape(4, 4), tb.reshape(4, 4)
-            eig_a, eig_b = np.linalg.eigh(ma @ ma.conj().T), np.linalg.eigh(mb @ mb.conj().T)
-            if np.max(np.abs(eig_a[0] - eig_b[0])) > spectra_tol:
-                return None
-            us = _two_party_witness(ma, mb, eig_a, eig_b, tol)
-        if us is None:
-            us = _searched_witness(a, b, tol, rng, restarts, iters)
+        ma, mb = ta.reshape(4, 4), tb.reshape(4, 4)
+        eig_a, eig_b = _two_party_eigen(ma), _two_party_eigen(mb)
+        if np.max(np.abs(eig_a[0] - eig_b[0])) > LU_SPECTRA_TOL:
+            return None
+        # the eigenvalues ascend, so prepending 0 also bounds the smallest one;
+        # with these bounds the eight candidates are every U_1 x U_2 there is
+        if min(np.diff(eig_a[0], prepend=0.0).min(), np.diff(eig_b[0], prepend=0.0).min(),
+               np.abs(eig_a[2]).min(), np.abs(eig_b[2]).min()) >= LU_SPECTRAL_GAP:
+            us = _two_party_witness(ma, mb, eig_a, eig_b)
+        else:
+            us = _searched_witness(a, b, rng)
     if us is None:
         return None
     witness = ProductOperator(tuple(us))
     out, _ = apply_product(witness, a)
-    if fidelity(out, b) < 1.0 - tol:
+    if fidelity(out, b) < 1.0 - PHASE_EQUAL_TOL:
         return None
     return witness

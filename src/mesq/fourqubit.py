@@ -12,12 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (NumericalError, ProductOperator, PureState, apply_product, fidelity,
+from .core import (AXIS_TOL, EXACT_FIDELITY_TOL, GENERICITY_TOL, ROUNDING_ATOL, VANISHING_ATOL,
+                   NumericalError, ProductOperator, PureState, apply_product, fidelity,
                    pauli_components)
-
-GENERICITY_TOL = 1e-10
-AXIS_TOL = 1e-10
-SYMMETRY_FIDELITY_TOL = 1e-10
 
 AXES = ("x", "y", "z")
 # 1, xxxx, yyyy, zzzz: for generic parameters, exactly the local symmetries of the seed
@@ -41,7 +38,7 @@ class GabcdParams:
 def seed_state(params: GabcdParams) -> PureState:
     """Normalized four-qubit representative state for the given parameters."""
     a, b, c, d = params.as_tuple()
-    if max(abs(a), abs(b), abs(c), abs(d)) < 1e-14:
+    if max(abs(a), abs(b), abs(c), abs(d)) < VANISHING_ATOL:
         raise ValueError("all four parameters are zero")
     amps = np.zeros(16, dtype=complex)
     amps[0b0000] = amps[0b1111] = (a + d) / 2
@@ -51,35 +48,35 @@ def seed_state(params: GabcdParams) -> PureState:
     return PureState.normalized(amps)
 
 
-def _multiset_close(xs, ys, tol: float) -> bool:
+def _multiset_close(xs, ys) -> bool:
     for perm in itertools.permutations(range(len(ys))):
-        if all(abs(x - ys[p]) <= tol for x, p in zip(xs, perm)):
+        if all(abs(x - ys[p]) <= GENERICITY_TOL for x, p in zip(xs, perm)):
             return True
     return False
 
 
-def is_generic(params: GabcdParams, tol: float = GENERICITY_TOL) -> tuple[bool, list[str]]:
+def is_generic(params: GabcdParams) -> tuple[bool, list[str]]:
     """Evaluate the genericity clauses; returns (verdict, violated conditions)."""
     a, b, c, d = params.as_tuple()
     sq = {"a": a * a, "b": b * b, "c": c * c, "d": d * d}
     violations = []
     for u, v in (("b", "c"), ("c", "d"), ("d", "b")):
-        if abs(sq[u] - sq[v]) <= tol:
+        if abs(sq[u] - sq[v]) <= GENERICITY_TOL:
             violations.append(f"{u}^2 = {v}^2")
     for v in ("b", "c", "d"):
-        if abs(sq["a"] - sq[v]) <= tol:
+        if abs(sq["a"] - sq[v]) <= GENERICITY_TOL:
             violations.append(f"a^2 = {v}^2")
     # scaling clause: no q != 1 maps the squared multiset onto itself
     values = list(sq.values())
     candidates = set()
     for x in values:
         for y in values:
-            if abs(y) > tol:
+            if abs(y) > GENERICITY_TOL:
                 q = x / y
-                if abs(q - 1.0) > tol:
+                if abs(q - 1.0) > GENERICITY_TOL:
                     candidates.add(complex(round(q.real, 12), round(q.imag, 12)))
     for q in candidates:
-        if _multiset_close([q * v for v in values], values, tol):
+        if _multiset_close([q * v for v in values], values):
             violations.append(f"multiset invariant under scaling q={q}")
             break
     return (not violations, violations)
@@ -94,7 +91,7 @@ def symmetry_group(params: GabcdParams) -> list[ProductOperator]:
     seed = seed_state(params)
     for s in PAULI_STRINGS:
         out, _ = apply_product(s, seed)
-        if fidelity(out, seed) < 1.0 - SYMMETRY_FIDELITY_TOL:
+        if fidelity(out, seed) < 1.0 - EXACT_FIDELITY_TOL:
             raise NumericalError("symmetry candidate failed to fix the seed state")
     return list(PAULI_STRINGS)
 
@@ -121,23 +118,23 @@ class FactorClass:
         )
 
 
-def classify_factor(op: np.ndarray, tol: float = AXIS_TOL) -> FactorClass:
+def classify_factor(op: np.ndarray) -> FactorClass:
     """Classify op via P = op^dag op normalized to trace 1, P = 1/2 + v . sigma."""
     op = np.asarray(op, dtype=complex)
-    if abs(np.linalg.det(op)) < 1e-12:
+    if abs(np.linalg.det(op)) < ROUNDING_ATOL:
         raise ValueError("singular local operator")
     p = op.conj().T @ op
     p = p / np.trace(p).real
     _, cx, cy, cz = pauli_components(p)
     v = np.array([cx.real, cy.real, cz.real])
     mags = np.abs(v)
-    if np.any((mags > tol / 10) & (mags < tol * 10)):
+    if np.any((mags > AXIS_TOL / 10) & (mags < AXIS_TOL * 10)):
         warnings.warn(
             "factor has Pauli components near the axis-detection threshold; "
             "classifying as computed but the tag is numerically borderline",
             stacklevel=2,
         )
-    above = mags > tol
+    above = mags > AXIS_TOL
     if not above.any():
         return FactorClass(FactorTag.PROPORTIONAL_IDENTITY, components=tuple(v))
     if above.sum() == 1:

@@ -5,25 +5,25 @@ from __future__ import annotations
 import numpy as np
 
 
-def nnls(A: np.ndarray, b: np.ndarray, max_iter: int | None = None) -> tuple[np.ndarray, float]:
+def nnls(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     """Minimize ||A x - b||_2 subject to x >= 0.
 
-    Returns ``(x, residual_norm)``. A is a real m x n matrix; complex systems
-    must be stacked into real/imaginary rows by the caller.
+    Returns ``(x, residual_norm)`` after at most 3n active-set steps. A is a
+    real m x n matrix; complex systems must be stacked into real/imaginary
+    rows by the caller.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
     m, n = A.shape
     if b.size != m:
         raise ValueError("shape mismatch between A and b")
-    max_iter = max_iter if max_iter is not None else 3 * n
 
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
     # dual feasibility tolerance scaled to the problem
     tol = 10.0 * np.finfo(float).eps * np.linalg.norm(A, 1) * max(m, n)
 
-    for _ in range(max_iter):
+    for _ in range(3 * n):
         w = A.T @ (b - A @ x)
         w[passive] = -np.inf
         if np.all(w <= tol):

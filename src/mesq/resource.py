@@ -20,9 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    BASIS_ORTHO_ATOL,
-    FORCED_BRANCH_MIN_PROB,
-    NORM_ATOL,
+    EXACT_FIDELITY_TOL,
+    ORTHONORMAL_ATOL,
+    ROUNDING_ATOL,
+    VANISHING_ATOL,
     DensityMatrix,
     NumericalError,
     ProductOperator,
@@ -35,9 +36,6 @@ from .core import (
     t3_gate,
     z_rot,
 )
-
-REP_FIDELITY_TOL = 1e-10
-PROB_SUM_ATOL = 1e-12
 
 CZ_LAYER = ((2, 3), (1, 2), (3, 4), (3, 5), (1, 5), (4, 5), (5, 6), (4, 6))
 
@@ -120,7 +118,7 @@ def _branches(params: RepTargetParams, adapt_sign: bool):
     theta5 = (params.alpha5, -params.alpha5 if adapt_sign else params.alpha5)
     bases = np.array([measurement_basis(t) for t in (params.alpha6, *theta5, params.alpha4)])
     bras = bases.conj()
-    if np.max(np.abs(np.einsum("nki,nli->nkl", bras, bases) - np.eye(2))) > BASIS_ORTHO_ATOL:
+    if np.max(np.abs(np.einsum("nki,nli->nkl", bras, bases) - np.eye(2))) > ORTHONORMAL_ATOL:
         raise ValueError("measurement basis is not orthonormal within tolerance")
     amps = np.einsum(
         "abcdef,xf,xye,zd->xyzabc", _phi3_tensor(), bras[0], bras[1:3], bras[3]
@@ -128,7 +126,7 @@ def _branches(params: RepTargetParams, adapt_sign: bool):
     probs = np.sum(np.abs(amps) ** 2, axis=-1)
     raw = amps / np.sqrt(probs)[..., None]
     corrected = np.einsum("xyzij,xyzj->xyzi", _CORRECTION_MATRICES, raw)
-    if not np.all(np.abs(np.linalg.norm(corrected, axis=-1) - 1.0) <= NORM_ATOL):
+    if not np.all(np.abs(np.linalg.norm(corrected, axis=-1) - 1.0) <= ROUNDING_ATOL):
         raise NumericalError("a corrected branch state lost its normalization")
     return probs, raw, corrected
 
@@ -164,7 +162,7 @@ def simulate_rep(
             k = int(k)
             if k not in (0, 1):
                 raise ValueError("forced outcome must be 0 or 1")
-            if p[k] < FORCED_BRANCH_MIN_PROB:
+            if p[k] < VANISHING_ATOL:
                 raise ValueError(f"forced outcome {k} has vanishing probability {p[k]}")
         ks += (k,)
     k6, k5, k4 = ks
@@ -190,19 +188,17 @@ class RepReport:
     all_pass: bool
 
 
-def verify_rep_determinism(
-    params: RepTargetParams, tol: float = REP_FIDELITY_TOL
-) -> RepReport:
+def verify_rep_determinism(params: RepTargetParams) -> RepReport:
     """Force all eight outcome paths and check each hits the target state."""
     probs, _, corrected = _branches(params, adapt_sign=True)
     floor = min(float(cond.min()) for cond in _conditionals(probs))
-    if floor < FORCED_BRANCH_MIN_PROB:
+    if floor < VANISHING_ATOL:
         raise ValueError(f"a forced outcome has vanishing probability {floor}")
     fids = np.abs(corrected.conj() @ target_state(params).amplitudes) ** 2
     records = tuple(RepBranchRecord(*k, float(probs[k]), float(fids[k])) for k in _BRANCHES)
     total = float(probs.sum())
     worst = min(1.0, float(fids.min()))
-    all_pass = worst >= 1.0 - tol and abs(total - 1.0) <= PROB_SUM_ATOL
+    all_pass = worst >= 1.0 - EXACT_FIDELITY_TOL and abs(total - 1.0) <= ROUNDING_ATOL
     return RepReport(params, records, total, worst, all_pass)
 
 
@@ -226,7 +222,7 @@ def prepare_mixed3(entries, rng: np.random.Generator) -> MixedPrepResult:
     if not entries:
         raise ValueError("empty ensemble")
     weights = np.array([float(w) for w, _, _ in entries])
-    if weights.min() < 0 or abs(weights.sum() - 1.0) > 1e-12:
+    if weights.min() < 0 or abs(weights.sum() - 1.0) > ROUNDING_ATOL:
         raise ValueError("weights must be nonnegative and sum to 1")
 
     finals = []

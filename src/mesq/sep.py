@@ -22,16 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    PAULI,
-    NumericalError,
-    ProductOperator,
-    PureState,
-    apply_product,
-    contract,
-    fidelity,
-    psd_sqrt,
-)
+from .core import (ORTHONORMAL_ATOL, PAULI, PHASE_EQUAL_TOL, RESIDUAL_TOL, ROUNDING_ATOL,
+                   VANISHING_ATOL, NumericalError, ProductOperator, PureState, apply_product,
+                   contract, fidelity, psd_sqrt)
 from .fourqubit import (
     AXES,
     PAULI_STRINGS,
@@ -42,13 +35,6 @@ from .fourqubit import (
     seed_state,
 )
 from .nnls import nnls
-
-SEP_RESIDUAL_TOL = 1e-9
-POVM_COMPLETENESS_TOL = 1e-9
-KRAUS_COMPLETENESS_TOL = 1e-10
-BRANCH_SKIP_PROB = 1e-14
-WEIGHT_ATOL = 1e-12
-
 
 # -- one-round LOCC protocols --------------------------------------------------
 
@@ -71,7 +57,7 @@ class LoccProtocol:
         d = self.dims[self.acting_party - 1]
         kraus = tuple(np.asarray(k, dtype=complex) for k in self.kraus_ops)
         acc = sum(k.conj().T @ k for k in kraus)
-        if np.max(np.abs(acc - np.eye(d))) > KRAUS_COMPLETENESS_TOL:
+        if np.max(np.abs(acc - np.eye(d))) > ORTHONORMAL_ATOL:
             raise ValueError("Kraus operators do not resolve the identity")
         corr = []
         for cs in self.corrections:
@@ -80,7 +66,7 @@ class LoccProtocol:
             row = []
             for dim, u in zip(self.dims, cs):
                 u = np.asarray(u, dtype=complex)
-                if np.max(np.abs(u.conj().T @ u - np.eye(dim))) > 1e-9:
+                if np.max(np.abs(u.conj().T @ u - np.eye(dim))) > RESIDUAL_TOL:
                     raise ValueError("corrections must be unitary")
                 row.append(u)
             corr.append(tuple(row))
@@ -132,9 +118,9 @@ class SepInstance:
         w = np.asarray(self.weights, dtype=float)
         if w.size != len(self.symmetries):
             raise ValueError("one weight per symmetry required")
-        if w.min() < -WEIGHT_ATOL:
+        if w.min() < -ROUNDING_ATOL:
             raise ValueError("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > WEIGHT_ATOL:
+        if abs(w.sum() - 1.0) > ROUNDING_ATOL:
             raise ValueError("weights must sum to 1")
         if not self.r > 0:
             raise ValueError("r must be positive")
@@ -154,7 +140,7 @@ def _conjugated(H: ProductOperator, symmetries) -> list[np.ndarray]:
     return out
 
 
-def verify_sep(instance: SepInstance, tol: float = SEP_RESIDUAL_TOL) -> tuple[bool, float]:
+def verify_sep(instance: SepInstance, tol: float = RESIDUAL_TOL) -> tuple[bool, float]:
     """Check the weight equation as full tensor operators; returns (ok, residual)."""
     gf = instance.G.full_matrix()
     if instance.G.num_parties != instance.H.num_parties:
@@ -170,7 +156,7 @@ def solve_sep_weights(
     G: ProductOperator,
     H: ProductOperator,
     symmetries,
-    tol: float = SEP_RESIDUAL_TOL,
+    tol: float = RESIDUAL_TOL,
 ) -> tuple[np.ndarray, float] | None:
     """Solve for (p, r) with p >= 0, sum p = 1 by nonnegative least squares.
 
@@ -197,7 +183,7 @@ def solve_sep_weights(
     b[-1] = 3.0
     p, _ = nnls(a_real, b)
     total = p.sum()
-    if total < 1e-12:
+    if total < ROUNDING_ATOL:
         return None
     p = p / total
     r = float(np.dot(p, traces) / tau)
@@ -232,7 +218,7 @@ def build_povm(
         factors[0] = math.sqrt(p / r) * factors[0]
         povm.append(ProductOperator(tuple(factors)))
     completeness = completeness_residual(povm)
-    if completeness > POVM_COMPLETENESS_TOL:
+    if completeness > RESIDUAL_TOL:
         raise NumericalError(f"POVM completeness residual {completeness:.3e} exceeds tolerance")
     return povm
 
@@ -266,7 +252,7 @@ def verify_conversion(
     povm,
     source: PureState,
     target: PureState,
-    tol: float = 1e-9,
+    tol: float = PHASE_EQUAL_TOL,
 ) -> tuple[bool, list[BranchReport]]:
     """Check that every POVM branch maps source onto target up to a phase."""
     reports = []
@@ -279,14 +265,14 @@ def verify_conversion(
             reports.append(BranchReport(k, 0.0, None, skipped=True))
             continue
         total += prob
-        if prob < BRANCH_SKIP_PROB:
+        if prob < VANISHING_ATOL:
             reports.append(BranchReport(k, prob, None, skipped=True))
             continue
         f = fidelity(out, target)
         reports.append(BranchReport(k, prob, f, skipped=False))
         if f < 1.0 - tol:
             ok = False
-    if abs(total - 1.0) > 1e-9:
+    if abs(total - 1.0) > RESIDUAL_TOL:
         ok = False
     return ok, reports
 
@@ -300,7 +286,7 @@ def ghz_symmetries(z1: complex, z2: complex, flip: bool = False) -> ProductOpera
     when ``flip`` is set. Every returned operator fixes |GHZ> exactly.
     """
     z1, z2 = complex(z1), complex(z2)
-    if abs(z1) < 1e-14 or abs(z2) < 1e-14:
+    if abs(z1) < VANISHING_ATOL or abs(z2) < VANISHING_ATOL:
         raise ValueError("z arguments must be nonzero")
     z3 = 1.0 / (z1 * z2)
     factors = []
@@ -343,7 +329,7 @@ def _images_lu_equivalent(big_g: ProductOperator, big_h: ProductOperator) -> boo
 
     conj = np.einsum("spji,pjk,spkl->spil", _SYMMETRY_FACTORS.conj(), unit_trace(big_g),
                      _SYMMETRY_FACTORS)
-    close = np.abs(conj - unit_trace(big_h)).max(axis=(2, 3)) <= SEP_RESIDUAL_TOL
+    close = np.abs(conj - unit_trace(big_h)).max(axis=(2, 3)) <= RESIDUAL_TOL
     return bool(close.all(axis=1).any())
 
 
@@ -388,7 +374,7 @@ def synthesize_reach_protocol_4q(
         for i, f in enumerate(h.factors):
             if i == s_idx:
                 proj = _axis_projection(f, w)
-                if np.linalg.eigvalsh(proj).min() < 1e-12:
+                if np.linalg.eigvalsh(proj).min() < ROUNDING_ATOL:
                     raise ValueError("axis projection of the special factor is singular")
                 g_factors.append(psd_sqrt(proj))
             else:
@@ -448,7 +434,7 @@ def _povm_to_protocol(povm, acting_party: int) -> LoccProtocol:
                 continue
             p = f.conj().T @ f
             lam = float(np.trace(p).real / 2.0)
-            if lam <= 0 or np.max(np.abs(p - lam * np.eye(2))) > 1e-9:
+            if lam <= 0 or np.max(np.abs(p - lam * np.eye(2))) > RESIDUAL_TOL:
                 raise ValueError(
                     f"factor for party {i} is not proportional to a unitary; "
                     "the element does not define a one-round protocol"

@@ -24,23 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    PAULI,
-    NumericalError,
-    ProductOperator,
-    PureState,
-    apply_product,
-    fidelity,
-    ghz_state,
-    psd_sqrt,
-)
-
-HYPERDET_THRESHOLD = 1e-10
-RANK_SV_THRESHOLD = 1e-10
-ROUND_TRIP_TOL = 1e-9
-DEGENERACY_TOL = 1e-8
-MES3_MATCH_TOL = 1e-8
-ARG_ROUNDING_TOL = 1e-12
+from .core import (HYPERDET_THRESHOLD, PAULI, PENCIL_DEGENERACY_TOL, PHASE_EQUAL_TOL,
+                   RANK_ONE_RATIO, RANK_SV_THRESHOLD, RESIDUAL_TOL, ROUNDING_ATOL, SCALE_FLOOR,
+                   STANDARD_FORM_TOL, TIE_ATOL, VANISHING_ATOL, NumericalError, ProductOperator,
+                   PureState, apply_product, fidelity, ghz_state, nearest_unitary, psd_sqrt, y_rot)
 
 
 # -- classification ------------------------------------------------------------
@@ -109,7 +96,7 @@ def g_x(gamma: float) -> np.ndarray:
 
 def p_z(z: complex) -> np.ndarray:
     z = complex(z)
-    if abs(z) < 1e-14:
+    if abs(z) < VANISHING_ATOL:
         raise ValueError("z must be nonzero")
     return np.diag([z, 1.0 / z]).astype(complex)
 
@@ -134,8 +121,8 @@ def _pencil_roots(t: np.ndarray) -> list[np.ndarray]:
     """
     det_a, det_b, mixed = _slice_pencil(t)
     disc = mixed * mixed - 4.0 * det_a * det_b
-    scale = max(abs(det_a), abs(det_b), abs(mixed), 1e-300)
-    if max(abs(det_a), abs(det_b)) < 1e-13 * scale:
+    scale = max(abs(det_a), abs(det_b), abs(mixed), SCALE_FLOOR)
+    if max(abs(det_a), abs(det_b)) < PENCIL_DEGENERACY_TOL * scale:
         roots = [(1.0 + 0j, 0j), (0j, 1.0 + 0j)]
     else:
         sq = np.sqrt(disc)
@@ -167,7 +154,7 @@ def _two_term_decomposition(state: PureState):
     for i in (0, 1):
         n = roots[i][1] * a - roots[i][0] * b
         u, s, vh = np.linalg.svd(n)
-        if s[0] < 1e-13:
+        if s[0] < PENCIL_DEGENERACY_TOL:
             raise NumericalError("slice pencil collapsed; state is numerically borderline")
         worst_ratio = max(worst_ratio, float(s[1] / s[0]))
         vecs[1 - i][1] = u[:, 0]
@@ -207,12 +194,12 @@ class GhzStandardForm:
 
 def _fold_sign(z: complex) -> complex:
     """z or -z, whichever has arg in [0, pi); args within rounding of 0 or pi count as 0."""
-    if abs(z.imag) <= ARG_ROUNDING_TOL * abs(z):
+    if abs(z.imag) <= ROUNDING_ATOL * abs(z):
         return z if z.real > 0 else -z
     return z if z.imag > 0 else -z
 
 
-def ghz_standard_form(state: PureState, tol: float = ROUND_TRIP_TOL) -> GhzStandardForm:
+def ghz_standard_form(state: PureState) -> GhzStandardForm:
     """Extract (z, gamma_x, local unitaries) for a GHZ-class state.
 
     Raises NumericalError when the extraction fails its own checks.
@@ -220,13 +207,13 @@ def ghz_standard_form(state: PureState, tol: float = ROUND_TRIP_TOL) -> GhzStand
     result = classify_slocc3(state)
     if result.tag is not Slocc3Tag.GHZ_CLASS:
         raise ValueError(f"state is not GHZ-class (classified {result.tag.value})")
-    return extract_ghz_form(state, tol)
+    return extract_ghz_form(state)
 
 
-def extract_ghz_form(state: PureState, tol: float = ROUND_TRIP_TOL) -> GhzStandardForm:
+def extract_ghz_form(state: PureState) -> GhzStandardForm:
     """``ghz_standard_form`` of a state its caller has already classified GHZ-class."""
     vecs, rank_ratio = _two_term_decomposition(state)
-    if rank_ratio > 1e-6:
+    if rank_ratio > RANK_ONE_RATIO:
         raise NumericalError(
             f"hyperdeterminant is numerically borderline (remainder ratio {rank_ratio:.2e})"
         )
@@ -237,7 +224,7 @@ def extract_ghz_form(state: PureState, tol: float = ROUND_TRIP_TOL) -> GhzStanda
     for i in range(3):
         bi = _phase_to_largest(vecs[1][i])
         ov = np.vdot(term_a[i], bi)
-        if abs(ov) > DEGENERACY_TOL:
+        if abs(ov) > STANDARD_FORM_TOL:
             bi = bi * (abs(ov) / ov)
         term_b.append(bi)
         overlaps.append(abs(np.vdot(term_a[i], bi)))
@@ -246,11 +233,11 @@ def extract_ghz_form(state: PureState, tol: float = ROUND_TRIP_TOL) -> GhzStanda
 
     z_fwd = _fold_sign(np.sqrt(kappa[0] / kappa[1]))
     z_rev = _fold_sign(np.sqrt(kappa[1] / kappa[0]))
-    if abs(z_fwd) > 1.0 + 1e-9:
+    if abs(z_fwd) > 1.0 + RESIDUAL_TOL:
         z, swap = z_fwd, False
-    elif abs(z_fwd) < 1.0 - 1e-9:
+    elif abs(z_fwd) < 1.0 - RESIDUAL_TOL:
         z, swap = z_rev, True
-    elif np.angle(z_fwd) <= np.angle(z_rev) + 1e-15:
+    elif np.angle(z_fwd) <= np.angle(z_rev) + TIE_ATOL:
         z, swap = z_fwd, False
     else:
         z, swap = z_rev, True
@@ -264,13 +251,12 @@ def extract_ghz_form(state: PureState, tol: float = ROUND_TRIP_TOL) -> GhzStanda
         g = g_x(gammas[i])
         pq = np.column_stack([math.sqrt(2) * (g @ e0), math.sqrt(2) * (g @ e1)])
         u = np.column_stack([term_a[i], term_b[i]]) @ np.linalg.inv(pq)
-        w, _, vh = np.linalg.svd(u)
-        unitaries.append(w @ vh)
+        unitaries.append(nearest_unitary(u))
     witness = ProductOperator(tuple(unitaries))
 
     recon, _ = apply_product(witness, ghz_form_state(z, gammas))
     fid = fidelity(recon, state)
-    if fid < 1.0 - tol:
+    if fid < 1.0 - PHASE_EQUAL_TOL:
         raise NumericalError(
             f"standard-form reconstruction fidelity {fid} below tolerance; "
             "state is numerically borderline"
@@ -307,7 +293,7 @@ class WStandardForm:
 def _double_root(t: np.ndarray) -> np.ndarray:
     """Double root of the slice-pencil determinant (W-class pencils only)."""
     det_a, det_b, mixed = _slice_pencil(t)
-    if max(abs(det_a), abs(det_b)) < 1e-14:
+    if max(abs(det_a), abs(det_b)) < VANISHING_ATOL:
         raise NumericalError("degenerate slice pencil; state is not genuinely tripartite")
     if abs(det_a) >= abs(det_b):
         root = np.array([2.0 * det_a, mixed], dtype=complex)
@@ -316,7 +302,7 @@ def _double_root(t: np.ndarray) -> np.ndarray:
     return root / np.linalg.norm(root)
 
 
-def w_standard_form(state: PureState, tol: float = ROUND_TRIP_TOL) -> WStandardForm:
+def w_standard_form(state: PureState) -> WStandardForm:
     """Extract the x0..x3 amplitudes and local unitaries of a W-class state.
 
     Raises NumericalError when the extraction fails its own checks.
@@ -324,10 +310,10 @@ def w_standard_form(state: PureState, tol: float = ROUND_TRIP_TOL) -> WStandardF
     result = classify_slocc3(state)
     if result.tag is not Slocc3Tag.W_CLASS:
         raise ValueError(f"state is not W-class (classified {result.tag.value})")
-    return extract_w_form(state, tol)
+    return extract_w_form(state)
 
 
-def extract_w_form(state: PureState, tol: float = ROUND_TRIP_TOL) -> WStandardForm:
+def extract_w_form(state: PureState) -> WStandardForm:
     """``w_standard_form`` of a state its caller has already classified W-class."""
     t = state.tensor()
     rotations = []
@@ -342,20 +328,20 @@ def extract_w_form(state: PureState, tol: float = ROUND_TRIP_TOL) -> WStandardFo
     off = math.sqrt(
         float(sum(abs(c[k]) ** 2 for k in range(8) if k not in support))
     )
-    if off * off > tol:
+    if off * off > PHASE_EQUAL_TOL:
         raise NumericalError(f"off-support weight {off:.3e}; state is numerically borderline")
     coeffs = [c[k] for k in support]
-    if abs(coeffs[0]) > DEGENERACY_TOL:
+    if abs(coeffs[0]) > STANDARD_FORM_TOL:
         global_phase = coeffs[0] / abs(coeffs[0])
     else:
         global_phase = coeffs[1] / abs(coeffs[1])
     coeffs = [v / global_phase for v in coeffs]
     phases = [1.0 + 0j, 1.0 + 0j, 1.0 + 0j]
     for i in (1, 2, 3):
-        if abs(coeffs[i]) < 1e-12:
+        if abs(coeffs[i]) < ROUNDING_ATOL:
             raise NumericalError("vanishing single-excitation amplitude; not genuinely W-class")
         phases[i - 1] = coeffs[i] / abs(coeffs[i])
-    x0 = float(abs(coeffs[0])) if abs(coeffs[0]) > DEGENERACY_TOL else 0.0
+    x0 = float(abs(coeffs[0])) if abs(coeffs[0]) > STANDARD_FORM_TOL else 0.0
     xs = (x0, float(abs(coeffs[1])), float(abs(coeffs[2])), float(abs(coeffs[3])))
 
     unitaries = []
@@ -365,7 +351,7 @@ def extract_w_form(state: PureState, tol: float = ROUND_TRIP_TOL) -> WStandardFo
     witness = ProductOperator(tuple(unitaries))
     recon, _ = apply_product(witness, w_form_state(*xs))
     fid = fidelity(recon, state)
-    if fid < 1.0 - tol:
+    if fid < 1.0 - PHASE_EQUAL_TOL:
         raise NumericalError(f"W standard-form reconstruction fidelity {fid} below tolerance")
     return WStandardForm(*xs, witness, off, fid)
 
@@ -381,7 +367,7 @@ class Mes3Certificate:
     w_form: WStandardForm | None = None
 
 
-def in_mes3(state: PureState, tol: float = MES3_MATCH_TOL) -> tuple[bool, Mes3Certificate]:
+def in_mes3(state: PureState, tol: float = STANDARD_FORM_TOL) -> tuple[bool, Mes3Certificate]:
     """Maximally-entangled-set membership for a genuinely tripartite state."""
     result = classify_slocc3(state)
     if result.tag in (Slocc3Tag.BISEPARABLE, Slocc3Tag.FULLY_PRODUCT):
@@ -440,9 +426,5 @@ def mes3_state(params: Mes3Params) -> PureState:
     """
     a = params.a
     psi_s = np.array([a, 0.0, 0.0, math.sqrt(max(0.0, 1.0 - a * a))], dtype=complex)
-    c, s = math.cos(params.beta_prime), math.sin(params.beta_prime)
-    y_bp = np.array([[c, s], [-s, c]], dtype=complex)
-    c, s = math.cos(params.beta), math.sin(params.beta)
-    y_b = np.array([[c, s], [-s, c]], dtype=complex)
-    amps = np.concatenate([psi_s, np.kron(y_bp, y_b) @ psi_s])
+    amps = np.concatenate([psi_s, np.kron(y_rot(params.beta_prime), y_rot(params.beta)) @ psi_s])
     return PureState.normalized(amps)

@@ -1,6 +1,8 @@
 """CLI behavior: JSON reports, exit codes, determinism, file round-trips."""
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -250,8 +252,13 @@ class TestDeterminism:
     def test_subprocess_reports_identical(self):
         argv = [sys.executable, "-m", "mesq.cli", "rep-sim", "--alpha4", "0.2",
                 "--alpha5", "0.4", "--alpha6", "0.6", "--seed", "3"]
+        # the child does not inherit pytest's pythonpath setting, so put src first
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
         runs = [
-            subprocess.run(argv, capture_output=True, text=True).stdout for _ in range(2)
+            subprocess.run(argv, capture_output=True, text=True, env=env).stdout
+            for _ in range(2)
         ]
         assert runs[0] == runs[1] and runs[0].strip()
 

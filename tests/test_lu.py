@@ -381,6 +381,16 @@ def test_equal_two_party_spectrum_inequivalent_pair_agrees_with_scipy():
     assert _best_product_fidelity(a, b, 4, seed=9) < 1 - TOL
 
 
+def test_equal_two_party_spectrum_no_candidate_is_none_without_search(search_calls):
+    # rho_12 is non-degenerate with no near-product eigenvector, so the eight
+    # sign candidates are every U_1 x U_2 there is, and none mapping decides
+    rng = np.random.default_rng(9)
+    a = _kron([_haar(rng) for _ in range(4)]) @ _gabcd(2, 1j, 0.5, 1 + 1j)
+    b = _kron([_haar(rng) for _ in range(4)]) @ _gabcd(2, 1j, 0.5, (1 + 1j) * np.exp(1j))
+    assert qc.lu_equivalent(qc.PureState(4, a), qc.PureState(4, b)) is None
+    assert search_calls == []
+
+
 @PROPERTY
 @given(seed=st.integers(0, 2**32 - 1))
 def test_realignment_splits_products_and_rejects_cnot(seed):
