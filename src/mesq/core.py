@@ -13,6 +13,8 @@ Conventions used by every module in this package:
   applies ``ops[i]``, of shape ``(m, d)``, along ``axes[i]`` (0-based; party p
   is axis p - 1), in the order given, so an axis may be hit more than once. An
   axis of size d becomes one of size m and keeps its place among the others.
+* A product operator keeps its 2x2 factors as one ``(n, 2, 2)`` stack;
+  ``kron_stack`` expands ``(..., n, 2, 2)`` stacks to ``2^n x 2^n`` matrices.
 * All values are immutable after construction and every operation is a pure
   function; random number generators are always passed explicitly.
 """
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -104,7 +106,7 @@ def _frozen_array(a, shape=None) -> np.ndarray:
     arr = np.array(a, dtype=complex)
     if shape is not None and arr.shape != shape:
         raise ValueError(f"expected array of shape {shape}, got {arr.shape}")
-    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
+    if not np.isfinite(arr).all():
         raise ValueError("array contains non-finite entries")
     arr.setflags(write=False)
     return arr
@@ -149,17 +151,32 @@ class PureState:
         return self.amplitudes.reshape([2] * self.num_qubits)
 
 
+def kron_stack(stack) -> np.ndarray:
+    """Kronecker products of factor stacks, ``(..., n, 2, 2)`` to ``(..., 2^n, 2^n)``;
+    each entry multiplies its factor entries in party order, as the np.kron chain does."""
+    stack = np.asarray(stack)
+    m = stack[..., 0, :, :]
+    for k in range(1, stack.shape[-3]):
+        f = stack[..., k, :, :]
+        d = 2 * m.shape[-1]
+        m = (m[..., :, None, :, None] * f[..., None, :, None, :]).reshape(*m.shape[:-2], d, d)
+    return m
+
+
 @dataclass(frozen=True)
 class ProductOperator:
-    """Tensor product of one 2x2 operator per party."""
+    """Tensor product of one 2x2 operator per party; ``factors`` are the
+    party-by-party views of the read-only ``(n, 2, 2)`` array ``stack``."""
 
     factors: tuple
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        facs = tuple(_frozen_array(f, shape=(2, 2)) for f in self.factors)
-        if not facs:
-            raise ValueError("ProductOperator needs at least one factor")
-        object.__setattr__(self, "factors", facs)
+        stack = _frozen_array(self.factors)
+        if stack.ndim != 3 or stack.shape[1:] != (2, 2) or not stack.size:
+            raise ValueError(f"expected one or more 2x2 factors, got shape {stack.shape}")
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "factors", tuple(stack))
 
     @property
     def num_parties(self) -> int:
@@ -183,27 +200,22 @@ class ProductOperator:
         return cls(tuple(facs))
 
     def dagger(self) -> "ProductOperator":
-        return ProductOperator(tuple(f.conj().T for f in self.factors))
+        return ProductOperator(self.stack.conj().swapaxes(-1, -2))
 
     def inverse(self) -> "ProductOperator":
-        invs = []
-        for k, f in enumerate(self.factors):
-            if abs(np.linalg.det(f)) < VANISHING_ATOL:
-                raise ValueError(f"factor for party {k + 1} is singular")
-            invs.append(np.linalg.inv(f))
-        return ProductOperator(tuple(invs))
+        singular = np.flatnonzero(np.abs(np.linalg.det(self.stack)) < VANISHING_ATOL)
+        if singular.size:
+            raise ValueError(f"factor for party {singular[0] + 1} is singular")
+        return ProductOperator(np.linalg.inv(self.stack))
 
     def compose(self, other: "ProductOperator") -> "ProductOperator":
         """Factor-wise matrix product ``self @ other`` (other acts first)."""
         if self.num_parties != other.num_parties:
             raise ValueError("party count mismatch")
-        return ProductOperator(tuple(a @ b for a, b in zip(self.factors, other.factors)))
+        return ProductOperator(self.stack @ other.stack)
 
     def full_matrix(self) -> np.ndarray:
-        m = self.factors[0]
-        for f in self.factors[1:]:
-            m = np.kron(m, f)
-        return m
+        return kron_stack(self.stack)
 
 
 @dataclass(frozen=True)
@@ -468,12 +480,6 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     if vals.min() < -PSD_ATOL:
         raise ValueError(f"matrix is not PSD (eigenvalue {vals.min()})")
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
-
-
-def pauli_components(m: np.ndarray) -> tuple[complex, complex, complex, complex]:
-    """Coefficients (c_i, c_x, c_y, c_z) of m = c_i*1 + c_x*sx + c_y*sy + c_z*sz."""
-    m = np.asarray(m, dtype=complex)
-    return tuple(np.trace(PAULI[w] @ m) / 2.0 for w in "ixyz")
 
 
 # -- local-unitary equivalence -----------------------------------------------

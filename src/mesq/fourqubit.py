@@ -6,20 +6,20 @@ that decide membership and isolation in the four-qubit maximally entangled set.
 from __future__ import annotations
 
 import enum
-import itertools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (AXIS_TOL, EXACT_FIDELITY_TOL, GENERICITY_TOL, ROUNDING_ATOL, VANISHING_ATOL,
-                   NumericalError, ProductOperator, PureState, apply_product, fidelity,
-                   pauli_components)
+                   NumericalError, ProductOperator, PureState, apply_product, fidelity)
 
 AXES = ("x", "y", "z")
 # 1, xxxx, yyyy, zzzz: for generic parameters, exactly the local symmetries of the seed
 PAULI_STRINGS = (ProductOperator.identity(4),
                  *(ProductOperator.pauli_string(w * 4) for w in AXES))
+# the 24 permutations of four indices, one per row
+_PERMUTATIONS = np.array([p for p in np.ndindex(4, 4, 4, 4) if len(set(p)) == 4])
 
 
 @dataclass(frozen=True)
@@ -48,13 +48,6 @@ def seed_state(params: GabcdParams) -> PureState:
     return PureState.normalized(amps)
 
 
-def _multiset_close(xs, ys) -> bool:
-    for perm in itertools.permutations(range(len(ys))):
-        if all(abs(x - ys[p]) <= GENERICITY_TOL for x, p in zip(xs, perm)):
-            return True
-    return False
-
-
 def is_generic(params: GabcdParams) -> tuple[bool, list[str]]:
     """Evaluate the genericity clauses; returns (verdict, violated conditions)."""
     a, b, c, d = params.as_tuple()
@@ -75,10 +68,14 @@ def is_generic(params: GabcdParams) -> tuple[bool, list[str]]:
                 q = x / y
                 if abs(q - 1.0) > GENERICITY_TOL:
                     candidates.add(complex(round(q.real, 12), round(q.imag, 12)))
-    for q in candidates:
-        if _multiset_close([q * v for v in values], values):
-            violations.append(f"multiset invariant under scaling q={q}")
-            break
+    # q maps the multiset onto itself when q * values is a permutation of values;
+    # all candidates are tested at once and the first, in set order, is reported
+    qs = list(candidates)
+    vals = np.array(values)
+    scaled = np.array(qs).reshape(-1, 1, 1) * vals
+    close = (np.abs(scaled - vals[_PERMUTATIONS]) <= GENERICITY_TOL).all(axis=2).any(axis=1)
+    if close.any():
+        violations.append(f"multiset invariant under scaling q={qs[int(np.argmax(close))]}")
     return (not violations, violations)
 
 
@@ -120,13 +117,13 @@ class FactorClass:
 
 def classify_factor(op: np.ndarray) -> FactorClass:
     """Classify op via P = op^dag op normalized to trace 1, P = 1/2 + v . sigma."""
-    op = np.asarray(op, dtype=complex)
-    if abs(np.linalg.det(op)) < ROUNDING_ATOL:
+    (a, b), (c, d) = np.asarray(op, dtype=complex).tolist()
+    if abs(a * d - b * c) < ROUNDING_ATOL:
         raise ValueError("singular local operator")
-    p = op.conj().T @ op
-    p = p / np.trace(p).real
-    _, cx, cy, cz = pauli_components(p)
-    v = np.array([cx.real, cy.real, cz.real])
+    # op^dag op = [[n0, m], [m*, n1]] = (n0 + n1)/2 + Re m sx - Im m sy + (n0 - n1)/2 sz
+    n0, n1 = abs(a) ** 2 + abs(c) ** 2, abs(b) ** 2 + abs(d) ** 2
+    m = a.conjugate() * b + c.conjugate() * d
+    v = np.array([m.real, -m.imag, (n0 - n1) / 2.0]) / (n0 + n1)
     mags = np.abs(v)
     if np.any((mags > AXIS_TOL / 10) & (mags < AXIS_TOL * 10)):
         warnings.warn(

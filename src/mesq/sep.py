@@ -9,6 +9,11 @@ over the symmetries S_k of |Psi>, builds the POVM M_k = sqrt(p_k/r) h S_k g^-1
 realizing the conversion, and packages one-round protocols in which a single
 party measures and the others apply outcome-conditioned unitaries.
 
+Each family of product operators (symmetries, terms S_k^dag H S_k, POVM
+elements) is one ``(K, n, 2, 2)`` stack of factors, multiplied factor by factor
+and expanded by ``core.kron_stack`` only where the equation is compared entry by
+entry; the trace of a product is the product of its factor traces.
+
 A passing verification certifies SEP convertibility. SEP strictly contains
 deterministic LOCC, so a negative verdict rules LOCC out, while a positive one
 is LOCC-certified only when an explicit one-round protocol is attached (as the
@@ -24,7 +29,7 @@ import numpy as np
 
 from .core import (ORTHONORMAL_ATOL, PAULI, PHASE_EQUAL_TOL, RESIDUAL_TOL, ROUNDING_ATOL,
                    VANISHING_ATOL, NumericalError, ProductOperator, PureState, apply_product,
-                   contract, fidelity, psd_sqrt)
+                   contract, fidelity, kron_stack, psd_sqrt)
 from .fourqubit import (
     AXES,
     PAULI_STRINGS,
@@ -128,27 +133,26 @@ class SepInstance:
         object.__setattr__(self, "symmetries", tuple(self.symmetries))
 
 
-def _conjugated(H: ProductOperator, symmetries) -> list[np.ndarray]:
-    """The full matrices S^dag H S, one per symmetry S."""
-    hf = H.full_matrix()
-    out = []
-    for s in symmetries:
-        sf = s.full_matrix()
-        if sf.shape != hf.shape:
-            raise ValueError("symmetry dimension mismatch")
-        out.append(sf.conj().T @ hf @ sf)
-    return out
+def _stacked(ops, n: int) -> np.ndarray:
+    """The factors of n-party product operators as one (K, n, 2, 2) array."""
+    if any(op.num_parties != n for op in ops):
+        raise ValueError("product operators differ in party count")
+    return np.array([op.stack for op in ops]).reshape(-1, n, 2, 2)
+
+
+def _conjugated(H: ProductOperator, symmetries) -> np.ndarray:
+    """The factors of S^dag H S, one product per symmetry S, as a (K, n, 2, 2) stack."""
+    s = _stacked(symmetries, H.num_parties)
+    return np.einsum("kpji,pjl,kplm->kpim", s.conj(), H.stack, s)
 
 
 def verify_sep(instance: SepInstance, tol: float = RESIDUAL_TOL) -> tuple[bool, float]:
     """Check the weight equation as full tensor operators; returns (ok, residual)."""
-    gf = instance.G.full_matrix()
     if instance.G.num_parties != instance.H.num_parties:
         raise ValueError("G and H dimension mismatch")
-    acc = np.zeros_like(gf)
-    for p, a in zip(instance.weights, _conjugated(instance.H, instance.symmetries)):
-        acc += p * a
-    residual = float(np.max(np.abs(acc - instance.r * gf)))
+    terms = kron_stack(_conjugated(instance.H, instance.symmetries))
+    acc = np.tensordot(instance.weights, terms, axes=1)
+    residual = float(np.max(np.abs(acc - instance.r * instance.G.full_matrix())))
     return residual < tol, residual
 
 
@@ -171,13 +175,9 @@ def solve_sep_weights(
     tau = float(np.trace(gf).real)
     if tau <= 0:
         raise ValueError("G must have positive trace")
-    cols = []
-    traces = []
-    for a in _conjugated(H, symmetries):
-        t = float(np.trace(a).real)
-        traces.append(t)
-        cols.append((a - (t / tau) * gf).reshape(-1))
-    c = np.stack(cols, axis=1)
+    terms = kron_stack(_conjugated(H, symmetries))
+    traces = np.trace(terms, axis1=1, axis2=2).real
+    c = (terms - (traces / tau)[:, None, None] * gf).reshape(len(symmetries), -1).T
     a_real = np.vstack([c.real, c.imag, 3.0 * np.ones((1, len(symmetries)))])
     b = np.zeros(a_real.shape[0])
     b[-1] = 3.0
@@ -212,11 +212,9 @@ def build_povm(
     if not ok:
         raise NumericalError("weights do not satisfy the conversion equation "
                              f"(residual {residual:.3e})")
-    povm = []
-    for p, s in zip(weights, symmetries):
-        factors = [hf @ sf @ gi for hf, sf, gi in zip(h.factors, s.factors, g_inv.factors)]
-        factors[0] = math.sqrt(p / r) * factors[0]
-        povm.append(ProductOperator(tuple(factors)))
+    factors = h.stack @ _stacked(symmetries, h.num_parties) @ g_inv.stack
+    factors[:, 0] *= np.array([math.sqrt(p / r) for p in weights])[:, None, None]
+    povm = [ProductOperator(f) for f in factors]
     completeness = completeness_residual(povm)
     if completeness > RESIDUAL_TOL:
         raise NumericalError(f"POVM completeness residual {completeness:.3e} exceeds tolerance")
@@ -225,19 +223,20 @@ def build_povm(
 
 def completeness_residual(povm) -> float:
     """Largest entry of |sum_k M_k^dag M_k - 1| over the POVM elements."""
-    acc = sum(m.full_matrix().conj().T @ m.full_matrix() for m in povm)
+    m = _stacked(povm, povm[0].num_parties)
+    acc = kron_stack(m.conj().swapaxes(-1, -2) @ m).sum(axis=0)
     return float(np.max(np.abs(acc - np.eye(acc.shape[0]))))
 
 
 def norm_ratio(G: ProductOperator, H: ProductOperator, symmetries, weights) -> float:
     """r for given weights, from the trace of the weight equation."""
-    traces = [float(np.trace(a).real) for a in _conjugated(H, symmetries)]
-    return float(np.dot(weights, traces) / np.trace(G.full_matrix()).real)
+    traces = np.trace(_conjugated(H, symmetries), axis1=-2, axis2=-1).prod(axis=-1).real
+    return float(np.dot(weights, traces) / np.trace(G.stack, axis1=1, axis2=2).prod().real)
 
 
 def positive_part(op: ProductOperator) -> ProductOperator:
     """Factor-wise op^dag op."""
-    return ProductOperator(tuple(f.conj().T @ f for f in op.factors))
+    return ProductOperator(op.stack.conj().swapaxes(-1, -2) @ op.stack)
 
 
 @dataclass(frozen=True)
@@ -315,7 +314,7 @@ class SynthesizedConversion:
 
 
 # one 2x2 factor per Pauli-string symmetry and party, shape (4, 4, 2, 2)
-_SYMMETRY_FACTORS = np.array([s.factors for s in PAULI_STRINGS])
+_SYMMETRY_FACTORS = _stacked(PAULI_STRINGS, 4)
 
 
 def _images_lu_equivalent(big_g: ProductOperator, big_h: ProductOperator) -> bool:
@@ -324,8 +323,7 @@ def _images_lu_equivalent(big_g: ProductOperator, big_h: ProductOperator) -> boo
     symmetry S of the generic seed, which for products holds factor by factor."""
 
     def unit_trace(op):
-        m = np.array(op.factors)
-        return m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
+        return op.stack / np.trace(op.stack, axis1=1, axis2=2).real[:, None, None]
 
     conj = np.einsum("spji,pjk,spkl->spil", _SYMMETRY_FACTORS.conj(), unit_trace(big_g),
                      _SYMMETRY_FACTORS)
@@ -370,15 +368,11 @@ def synthesize_reach_protocol_4q(
         w = witness.axis
         symmetries = (PAULI_STRINGS[0], PAULI_STRINGS[1 + AXES.index(w)])
         weights = np.array([0.5, 0.5])
-        g_factors = []
-        for i, f in enumerate(h.factors):
-            if i == s_idx:
-                proj = _axis_projection(f, w)
-                if np.linalg.eigvalsh(proj).min() < ROUNDING_ATOL:
-                    raise ValueError("axis projection of the special factor is singular")
-                g_factors.append(psd_sqrt(proj))
-            else:
-                g_factors.append(psd_sqrt(f.conj().T @ f))
+        proj = _axis_projection(h.factors[s_idx], w)
+        if np.linalg.eigvalsh(proj).min() < ROUNDING_ATOL:
+            raise ValueError("axis projection of the special factor is singular")
+        g_factors = [psd_sqrt(proj if i == s_idx else f.conj().T @ f)
+                     for i, f in enumerate(h.factors)]
 
     g = ProductOperator(tuple(g_factors))
     # the special factor differs from its axis projection, so the states are
@@ -422,30 +416,24 @@ def synthesize_reach_protocol_4q(
 
 def _povm_to_protocol(povm, acting_party: int) -> LoccProtocol:
     """Split product POVM elements into a measurement plus unitary corrections."""
-    n = povm[0].num_parties
-    kraus = []
-    corrections = []
-    for m in povm:
-        scale = 1.0
-        row = []
-        for i, f in enumerate(m.factors, start=1):
-            if i == acting_party:
-                row.append(np.eye(2, dtype=complex))
-                continue
-            p = f.conj().T @ f
-            lam = float(np.trace(p).real / 2.0)
-            if lam <= 0 or np.max(np.abs(p - lam * np.eye(2))) > RESIDUAL_TOL:
-                raise ValueError(
-                    f"factor for party {i} is not proportional to a unitary; "
-                    "the element does not define a one-round protocol"
-                )
-            row.append(f / math.sqrt(lam))
-            scale *= math.sqrt(lam)
-        kraus.append(scale * m.factors[acting_party - 1])
-        corrections.append(tuple(row))
+    m = _stacked(povm, povm[0].num_parties)
+    a = acting_party - 1
+    # every other factor f must have f^dag f = lam * 1, lam > 0
+    pos = m.conj().swapaxes(-1, -2) @ m
+    lam = np.trace(pos, axis1=-2, axis2=-1).real / 2.0
+    lam[:, a] = 1.0
+    off = np.abs(pos - lam[..., None, None] * np.eye(2)).max(axis=(-2, -1))
+    off[:, a] = 0.0
+    bad = np.argwhere((lam <= 0) | (off > RESIDUAL_TOL))
+    if bad.size:
+        raise ValueError(f"factor for party {bad[0, 1] + 1} is not proportional to a unitary; "
+                         "the element does not define a one-round protocol")
+    roots = np.sqrt(lam)
+    corrections = m / roots[..., None, None]
+    corrections[:, a] = np.eye(2)
     return LoccProtocol(
         acting_party=acting_party,
-        kraus_ops=tuple(kraus),
-        corrections=tuple(corrections),
-        dims=(2,) * n,
+        kraus_ops=tuple(roots.prod(axis=1)[:, None, None] * m[:, a]),
+        corrections=tuple(tuple(row) for row in corrections),
+        dims=(2,) * m.shape[1],
     )

@@ -4,8 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mesq import core as qc
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+def _kron_chain(factors):
+    """Dense reference: the np.kron chain over the factors in party order."""
+    m = factors[0]
+    for f in factors[1:]:
+        m = np.kron(m, f)
+    return m
 
 
 class TestPureState:
@@ -77,6 +89,72 @@ class TestProductOperator:
         np.testing.assert_allclose(
             a.compose(b).full_matrix(), a.full_matrix() @ b.full_matrix(), atol=1e-12
         )
+
+
+class TestProductOperatorValidation:
+    @pytest.mark.parametrize("factors", [
+        (),
+        (np.eye(2), np.eye(3)),
+        [np.eye(2), [[1.0, 0.0], [0.0]]],
+        [np.eye(2), np.eye(2)[:1]],
+        (np.eye(2), np.array([[1.0, np.nan], [0.0, 1.0]])),
+        (np.array([[1.0, 0.0], [0.0, np.inf]]),),
+        (np.array([[1.0, 0.0], [0.0, 1j * np.inf]]),),
+    ], ids=["empty", "3x3", "ragged", "ragged-rows", "nan", "inf", "imaginary-inf"])
+    def test_rejects_invalid_factors(self, factors):
+        with pytest.raises(ValueError):
+            qc.ProductOperator(factors)
+
+    def test_factors_are_read_only_views_of_one_stack(self):
+        given_factors = [qc.pauli("x"), qc.pauli("y"), np.eye(2)]
+        op = qc.ProductOperator(tuple(given_factors))
+        assert isinstance(op.factors, tuple) and op.stack.shape == (3, 2, 2)
+        for k, f in enumerate(op.factors):
+            assert not f.flags.writeable
+            assert np.shares_memory(f, op.stack)
+            with pytest.raises(ValueError):
+                f[0, 0] = 5.0
+        given_factors[0][0, 0] = 5.0
+        np.testing.assert_array_equal(op.factors[0], qc.pauli("x"))
+
+    def test_derived_operators_act_factor_by_factor(self):
+        rng = np.random.default_rng(4)
+        op = qc.random_product_invertible(3, rng)
+        other = qc.random_product_invertible(3, rng)
+        for derived, want in [
+            (op.dagger(), [f.conj().T for f in op.factors]),
+            (op.inverse(), [np.linalg.inv(f) for f in op.factors]),
+            (op.compose(other), [a @ b for a, b in zip(op.factors, other.factors)]),
+        ]:
+            assert all(not f.flags.writeable for f in derived.factors)
+            np.testing.assert_allclose(derived.stack, want, rtol=0, atol=1e-14)
+
+
+@st.composite
+def _factor_stacks(draw):
+    """n = 1..6 complex 2x2 factors whose entries span 1e-8 to 1e8 in modulus."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    phases = np.exp(2j * np.pi * rng.random((n, 2, 2)))
+    return phases * 10.0 ** rng.uniform(-8, 8, (n, 2, 2))
+
+
+@PROPERTY
+@given(stack=_factor_stacks())
+def test_full_matrix_is_the_kron_chain_bit_for_bit(stack):
+    op = qc.ProductOperator(tuple(stack))
+    assert np.array_equal(op.full_matrix(), _kron_chain(op.factors))
+
+
+@PROPERTY
+@given(stack=_factor_stacks(), copies=st.integers(1, 3))
+def test_kron_stack_expands_every_product_of_a_batch(stack, copies):
+    batch = np.array([stack * (k + 1) for k in range(copies)])
+    dense = qc.kron_stack(batch)
+    d = 2 ** len(stack)
+    assert dense.shape == (copies, d, d)
+    for k in range(copies):
+        assert np.array_equal(dense[k], _kron_chain(list(batch[k])))
 
 
 class TestReducedDensity:

@@ -3,11 +3,17 @@
 import itertools
 import math
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mesq import core as qc
 from mesq import fourqubit as fq
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
 
 GENERIC = fq.GabcdParams(2, 1j, 0.5, 1 + 1j)
 
@@ -131,6 +137,116 @@ class TestClassifyFactor:
         with pytest.warns(UserWarning, match="borderline"):
             fc = fq.classify_factor(near)
         assert fc.tag is fq.FactorTag.GENERIC
+
+
+# -- dense references ------------------------------------------------------------
+
+def _multiset_close_reference(xs, ys) -> bool:
+    for perm in itertools.permutations(range(len(ys))):
+        if all(abs(x - ys[p]) <= qc.GENERICITY_TOL for x, p in zip(xs, perm)):
+            return True
+    return False
+
+
+def _is_generic_reference(params):
+    """is_generic with one Python loop over the 24 permutations per candidate."""
+    a, b, c, d = params.as_tuple()
+    sq = {"a": a * a, "b": b * b, "c": c * c, "d": d * d}
+    violations = []
+    for u, v in (("b", "c"), ("c", "d"), ("d", "b")):
+        if abs(sq[u] - sq[v]) <= qc.GENERICITY_TOL:
+            violations.append(f"{u}^2 = {v}^2")
+    for v in ("b", "c", "d"):
+        if abs(sq["a"] - sq[v]) <= qc.GENERICITY_TOL:
+            violations.append(f"a^2 = {v}^2")
+    values = list(sq.values())
+    candidates = set()
+    for x in values:
+        for y in values:
+            if abs(y) > qc.GENERICITY_TOL:
+                q = x / y
+                if abs(q - 1.0) > qc.GENERICITY_TOL:
+                    candidates.add(complex(round(q.real, 12), round(q.imag, 12)))
+    for q in candidates:
+        if _multiset_close_reference([q * v for v in values], values):
+            violations.append(f"multiset invariant under scaling q={q}")
+            break
+    return (not violations, violations)
+
+
+def _components_reference(op):
+    """Pauli components of op^dag op / tr, each from trace(sigma_w P) / 2."""
+    p = op.conj().T @ op
+    p = p / np.trace(p).real
+    return np.array([(np.trace(qc.pauli(w) @ p) / 2.0).real for w in "xyz"])
+
+
+def _params_from(seed: int, family: str) -> fq.GabcdParams:
+    rng = np.random.default_rng(seed)
+    a, b, c, d = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    if family == "b2=c2":
+        c = -b if rng.integers(2) else b
+    elif family == "a=0":
+        a = 0.0
+    elif family == "scaling by i":
+        # squares r^2 * {1, -1, i, -i} in a random order
+        r = a
+        a, b, c, d = r * rng.permutation([1, 1j, np.exp(1j * np.pi / 4), np.exp(3j * np.pi / 4)])
+    elif family == "c=d":
+        d = c
+    elif family == "all equal":
+        b = c = d = a
+    return fq.GabcdParams(a, b, c, d)
+
+
+FAMILIES = ["random", "b2=c2", "a=0", "scaling by i", "c=d", "all equal"]
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(FAMILIES))
+def test_is_generic_matches_the_permutation_loop(seed, family):
+    params = _params_from(seed, family)
+    assert fq.is_generic(params) == _is_generic_reference(params)
+
+
+@pytest.mark.parametrize("family", FAMILIES[1:])
+def test_degenerate_families_keep_their_verdicts(family):
+    # a = 0 leaves the clauses generic, but drops a^2 as a scaling denominator
+    for seed in range(20):
+        params = _params_from(seed, family)
+        ok, violations = fq.is_generic(params)
+        assert (ok, violations) == _is_generic_reference(params)
+        assert ok is (family == "a=0")
+        if family == "scaling by i":
+            q = complex(violations[-1].removeprefix("multiset invariant under scaling q="))
+            assert min(abs(q - w) for w in (1j, -1, -1j)) < 1e-12
+
+
+def _classify_sample(rng, kind):
+    scale = 10.0 ** rng.uniform(-3, 3)
+    u = qc.random_unitary(rng)
+    if kind == "identity":
+        return scale * u
+    if kind == "axis":
+        w = "xyz"[int(rng.integers(3))]
+        return scale * u @ axis_factor(w, rng.choice([-1, 1]) * rng.uniform(0.01, 0.45))
+    return scale * qc.random_invertible(rng)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["identity", "axis", "generic"]))
+def test_classify_factor_matches_the_dense_decomposition(seed, kind):
+    op = _classify_sample(np.random.default_rng(seed), kind)
+    want = _components_reference(op)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fc = fq.classify_factor(op)
+    # P has unit trace, so an absolute bound is relative to its scale
+    np.testing.assert_allclose(fc.components, want, rtol=0, atol=1e-14)
+    mags = np.abs(want)
+    assert fc.tag is {0: fq.FactorTag.PROPORTIONAL_IDENTITY, 1: fq.FactorTag.AXIS}.get(
+        int((mags > qc.AXIS_TOL).sum()), fq.FactorTag.GENERIC)
+    assert fc.tag.value == {"identity": "proportional_identity"}.get(kind, kind)
 
 
 def op_from_factors(*factors) -> qc.ProductOperator:

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from test_acceptance import _cli_fixture_files
 
 from mesq import core as qc
 from mesq import fourqubit as fq
+from mesq import jsonio as io
 from mesq import sep
 
 GENERIC = fq.GabcdParams(2, 1j, 0.5, 1 + 1j)
@@ -354,6 +356,17 @@ class TestSynthesis:
             assert ok
 
 
+def test_povm_to_protocol_rejects_a_non_unitary_bystander_factor():
+    # element 1 has a factor on party 3 that is not a multiple of a unitary
+    ident = qc.ProductOperator.identity(4)
+    half = qc.ProductOperator.single(4, 1, np.eye(2) / math.sqrt(2))
+    bad = qc.ProductOperator((np.eye(2) / math.sqrt(2), np.eye(2), np.diag([1.0, 0.5]), np.eye(2)))
+    assert sep._povm_to_protocol([ident], 1).num_outcomes == 1
+    assert sep._povm_to_protocol([half, half], 1).num_outcomes == 2
+    with pytest.raises(ValueError, match="party 3 is not proportional to a unitary"):
+        sep._povm_to_protocol([half, bad], 1)
+
+
 class TestLoccProtocolContainer:
     def test_kraus_completeness_enforced(self):
         with pytest.raises(ValueError, match="identity"):
@@ -373,3 +386,117 @@ class TestLoccProtocolContainer:
                 corrections=((np.eye(2), np.eye(2)), (np.eye(2), np.diag([1.0, 0.5]))),
                 dims=(2, 2),
             )
+
+
+# -- dense references: every product expanded with np.kron, summed in Python ------
+
+def _dense(op):
+    m = op.factors[0]
+    for f in op.factors[1:]:
+        m = np.kron(m, f)
+    return m
+
+
+def _dense_terms(H, symmetries):
+    hf = _dense(H)
+    return [_dense(s).conj().T @ hf @ _dense(s) for s in symmetries]
+
+
+def _dense_residual(instance):
+    gf = _dense(instance.G)
+    acc = np.zeros_like(gf)
+    for p, a in zip(instance.weights, _dense_terms(instance.H, instance.symmetries)):
+        acc += p * a
+    return float(np.max(np.abs(acc - instance.r * gf)))
+
+
+def _dense_completeness(povm):
+    acc = sum(_dense(m).conj().T @ _dense(m) for m in povm)
+    return float(np.max(np.abs(acc - np.eye(acc.shape[0]))))
+
+
+def _dense_norm_ratio(G, H, symmetries, weights):
+    traces = [float(np.trace(a).real) for a in _dense_terms(H, symmetries)]
+    return float(np.dot(weights, traces) / np.trace(_dense(G)).real)
+
+
+def _close(got, want):
+    return abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def _random_instance(rng, n):
+    """A random n-party instance whose equation does not hold, and its POVM-like family."""
+    g, h = qc.random_product_invertible(n, rng), qc.random_product_invertible(n, rng)
+    k = int(rng.integers(1, 6))
+    syms = [qc.random_product_invertible(n, rng) for _ in range(k)]
+    weights = rng.dirichlet(np.ones(k))
+    big_g, big_h = sep.positive_part(g), sep.positive_part(h)
+    r = sep.norm_ratio(big_g, big_h, syms, weights)
+    return sep.SepInstance(big_g, big_h, r, syms, weights), syms
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_stacked_sep_quantities_match_dense_references(n):
+    rng = np.random.default_rng(20 + n)
+    for _ in range(40):
+        inst, family = _random_instance(rng, n)
+        assert _close(inst.r, _dense_norm_ratio(inst.G, inst.H, inst.symmetries, inst.weights))
+        ok, residual = sep.verify_sep(inst)
+        assert _close(residual, _dense_residual(inst)) and ok is (residual < 1e-9)
+        assert _close(sep.completeness_residual(family), _dense_completeness(family))
+
+
+def test_stacked_sep_quantities_match_dense_references_on_cli_inputs(tmp_path):
+    # the inputs of the sep-verify, sep-solve and povm-build reports in
+    # tests/data/cli_golden.json
+    files = _cli_fixture_files(tmp_path)
+    g = io.operator_from_obj(io.load_json(files["id4"]))
+    h = io.operator_from_obj(io.load_json(files["h4"]))
+    syms = io.operators_from_obj(io.load_json(files["syms"]))
+    big_g, big_h = sep.positive_part(g), sep.positive_part(h)
+    quarter = np.full(4, 0.25)
+    r = sep.norm_ratio(big_g, big_h, syms, quarter)
+    assert _close(r, _dense_norm_ratio(big_g, big_h, syms, quarter))
+    inst = sep.SepInstance(big_g, big_h, r, tuple(syms), quarter)
+    assert _close(sep.verify_sep(inst)[1], _dense_residual(inst))
+    p, r = sep.solve_sep_weights(big_g, big_h, syms)
+    inst = sep.SepInstance(big_g, big_h, r, tuple(syms), p)
+    assert _close(sep.verify_sep(inst)[1], _dense_residual(inst))
+    r = sep.norm_ratio(big_g, big_h, syms, quarter)
+    povm = sep.build_povm(h, g, syms, quarter, r)
+    assert _close(sep.completeness_residual(povm), _dense_completeness(povm))
+    for m, s in zip(povm, syms):
+        want = math.sqrt(0.25 / r) * _dense(h) @ _dense(s) @ np.linalg.inv(_dense(g))
+        np.testing.assert_allclose(_dense(m), want, rtol=0, atol=1e-15)
+
+
+class TestFullMatrixOnlyForG:
+    """The weight equation expands only G to a full matrix; every other product
+    is multiplied factor by factor."""
+
+    def _count(self, monkeypatch):
+        expanded = []
+        full_matrix = qc.ProductOperator.full_matrix
+        monkeypatch.setattr(qc.ProductOperator, "full_matrix",
+                            lambda op: expanded.append(op) or full_matrix(op))
+        return expanded
+
+    def test_solve_sep_weights(self, monkeypatch):
+        h = qc.ProductOperator.single(4, 1, offaxis_factor(0.2, 0.15, 0.1))
+        big_g, big_h = sep.positive_part(qc.ProductOperator.identity(4)), sep.positive_part(h)
+        expanded = self._count(monkeypatch)
+        assert sep.solve_sep_weights(big_g, big_h, fq.PAULI_STRINGS) is not None
+        assert 0 < len(expanded) <= 2
+        assert all(op is big_g for op in expanded)
+
+    @pytest.mark.parametrize("target", ["axis", "twirl"])
+    def test_synthesize_reach_protocol_4q(self, monkeypatch, target):
+        if target == "twirl":
+            h = qc.ProductOperator.single(4, 1, offaxis_factor(0.2, 0.15, 0.1))
+        else:
+            h = qc.ProductOperator((offaxis_factor(0.2, 0.0, 0.1), axis_factor("x", 0.1),
+                                    axis_factor("x", 0.2), axis_factor("x", 0.25)))
+        expanded = self._count(monkeypatch)
+        synth = sep.synthesize_reach_protocol_4q(h, GENERIC)
+        assert 0 < len(expanded) <= 3
+        assert all(np.array_equal(op.stack, synth.sep.G.stack) for op in expanded)
